@@ -27,7 +27,7 @@ storage-manager contract).  This package turns that into a hosted service:
   operations to later epochs;
 * :mod:`repro.gateway.executor` — the backends themselves: the shared
   per-shard phase logic every mode runs, plus the :class:`ProcessEngine`
-  (shards pinned to persistent worker processes hosting full feed mirrors,
+  (lanes of persistent worker processes hosting full feed mirrors,
   only per-epoch deltas crossing the process boundary) that gives the
   engine true multicore scaling where CPython's GIL caps the thread pool;
 * :mod:`repro.gateway.planner` — shard planning strategies: the fixed

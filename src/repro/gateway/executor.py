@@ -17,36 +17,62 @@ than a property of careful duplication.
 **Process backend.**  CPython's GIL means the thread backend can only overlap
 the hash/storage work of one interpreter; on a multicore host it never
 multiplies throughput (``BENCH_hotpath.json`` records speedup ≈ 1× however
-many threads run).  :class:`ProcessEngine` instead ships each shard's epoch
-work to a persistent pool of long-lived worker processes:
+many threads run).  :class:`ProcessEngine` instead runs epochs on a pool of
+long-lived worker processes:
 
-* every worker **lane** is a single-process :class:`ProcessPoolExecutor`;
-  shards are pinned to lanes (``shard_index % num_lanes``), so the worker-side
-  state of a shard — its feeds' contracts on a worker-local chain, SP stores,
-  control planes, cache shards, telemetry rows, workload queues — persists
-  across epochs and only *per-epoch deltas* cross the process boundary;
-* per epoch, a lane receives a tiny ``(epoch, epoch_size)`` order and returns
-  **one contiguous wire frame** (:class:`LaneEpochEnvelope`) covering all of
-  its shards' phases: each shard's driving-phase
-  :class:`~repro.chain.chain.ExecutionBuffer` as a packed ledger delta plus
-  unstamped events, and the shard's settlement transactions *pre-executed*
-  against the worker's mirror of the shard's contracts
-  (:class:`SettlementResult`: gas used, receipt outcome, emitted events,
-  exact ledger delta);
+* every worker **lane** is a single-process :class:`ProcessPoolExecutor`
+  whose worker hosts full mirrors of its feeds — contracts on a worker-local
+  chain, SP stores, control planes, cache shards, telemetry rows, workload
+  queues — so only *per-epoch deltas* cross the process boundary.  The pool
+  grows to the plan's lane demand and retires lanes once they are drained;
+* a lane receives an order — its ``(shard_index, feed_ids)`` assignment
+  (shard ``i`` on lane ``i % lanes``), a start epoch and an epoch count —
+  and returns, per epoch, **one contiguous wire frame**
+  (:class:`LaneEpochEnvelope`) covering all of its shards' phases: each
+  shard's driving-phase :class:`~repro.chain.chain.ExecutionBuffer` as a
+  packed ledger delta plus unstamped events, and the shard's settlement
+  transactions *pre-executed* against the worker's mirror of the shard's
+  contracts (:class:`SettlementResult`: gas used, receipt outcome, emitted
+  events, exact ledger delta);
 * the main process merges results in **fixed shard order** — stamp and absorb
   every drive buffer at the epoch-start height, then mine one recorded block
   per shard deliver, then one per shard update
   (:meth:`~repro.chain.chain.Blockchain.mine_recorded_block`) — reproducing
   the serial merge exactly, so fingerprints, per-feed gas bills and chain
   state are bit-identical to a serial run;
-* because event stamps are assigned by the *main* chain at merge time,
-  workers never wait for the previous epoch's merge: the scheduler submits
-  every epoch the remaining workloads already guarantee, and lanes run
-  epochs back-to-back while the main process merges behind them;
-* at run end the workers ship their final feed state back
-  (:class:`FeedStateResult`) and the engine folds it into the main registry's
-  mirrors, so post-run inspection (contract storage, roots, replica counts,
-  reports, cache contents) sees exactly what a serial run would have left.
+* at run end the lanes ship their feeds' final state back
+  (:class:`FeedStateResult`) and the scheduler folds it into the main
+  registry's mirrors, so post-run inspection (contract storage, roots,
+  replica counts, reports, cache contents) sees exactly what a serial run
+  would have left.
+
+**Submit-ahead or lockstep.**  Event stamps are assigned by the *main* chain
+at merge time, so a lane never waits for the previous epoch's merge.  When
+the plan cannot change — a round-robin plan over a fleet that neither churn
+nor a live source can alter — the scheduler orders every epoch the remaining
+workloads guarantee at once, and lanes run them back-to-back while the main
+process merges behind them.  Otherwise orders are one epoch each: a
+re-sharding planner needs this epoch's settled gas for the next plan, and a
+live epoch's arrivals (shipped with its order, :func:`encode_lane_arrivals`)
+cannot exist before the previous epoch settled.
+
+**Placement, migration, eviction.**  A feed's complete mirror — contract
+attrs and storage slots, the SP store's records, slot layout and Merkle tree,
+DO root/signer state, SP counters, control-plane and monitor state, cache
+shard, workload queue, dirty keys, telemetry row — serialises into one
+self-contained snapshot frame (:func:`encode_feed_snapshot`; a fresh wire
+channel per frame, so no lane's persistent intern table leaks into the move)
+and installs into a lane (:func:`decode_feed_snapshot` +
+:func:`install_feed_snapshot`).  Frames carry admissions, gas-aware
+re-shard moves between lanes and, where the platform does not fork, initial
+placement.  On a ``fork`` start method a lane spawned at a boundary instead
+**adopts** the main-hosted feeds the plan assigns it from its copy-on-write
+image of the main process and drops every other inherited feed — no encode,
+no install — which is what a static fleet's initial placement costs on
+Linux.  Evicted feeds tear down inside their lane.  LSM-backed SP stores
+change hands by closing their exclusive directory opener first (enforced by
+:class:`~repro.storage.lsm.LSMStore`): the main process before it hands a
+feed over by either route, a lane before it migrates a feed out.
 
 Everything that crosses a lane boundary per epoch is encoded with the compact
 codec in :mod:`repro.common.wire` — varint-packed counters, feed ids / record
@@ -54,44 +80,21 @@ keys / category names interned into the lane's persistent string table (only
 first occurrences cross), bulk byte payloads out-of-band, one schema-versioned
 frame per lane per epoch — and metered by :class:`IpcMeter`
 (``ipc_bytes_per_epoch`` / ``ipc_encode_seconds`` / ``ipc_decode_seconds``
-per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  This
-file owns the *schema* (what the fields mean); ``repro.common.wire`` owns the
-*format* (how primitives are packed).
-
-Worker processes rebuild their feeds from the shipped :class:`FeedSpec`s plus
-a wire-packed seed frame of workload operations and preload records (sent
-once, at start), so the construction is deterministic and identical to the
-main registry's own mirrors.
-
-**Feed migration.**  Feeds are not pinned to the lane that first hosted them:
-a feed's complete mirror — contract attrs and storage slots, the SP store's
-records, slot layout and Merkle tree, DO root/signer state, SP counters,
-control-plane and monitor state, cache shard, workload queue, dirty keys,
-telemetry row — serialises into one self-contained snapshot frame
-(:func:`encode_feed_snapshot`; a fresh wire channel per frame, so no lane's
-persistent intern table leaks into the move) and installs into another lane
-(:func:`decode_feed_snapshot` + :func:`install_feed_snapshot`).
-:class:`ElasticProcessEngine` builds on those frames: lanes start *empty* and
-every feed — initial placement included — arrives by snapshot install, so
-admission, eviction, gas-aware re-sharding and lane spawn/retire all reduce to
-the same three lane operations (install / migrate-out / teardown).  LSM-backed
-SP stores migrate by closing the source lane's exclusive directory opener
-before the destination lane re-opens it (single-opener enforced by
-:class:`~repro.storage.lsm.LSMStore`).  The static
-:class:`ProcessEngine` path — fixed fleet, round-robin plan, memory stores —
-keeps its fork/wire seeding and pipelined multi-epoch orders.
+per lane, surfaced through the obs plane and ``FleetTelemetry.ipc``).  The
+codec's frames measured 62–64% smaller than protocol-5 pickles of the same
+epoch results (the recorded ``reduction_vs_pickle`` of the 2–8-lane process
+sweep in ``BENCH_hotpath.json``).  This file owns the *schema* (what the fields mean);
+``repro.common.wire`` owns the *format* (how primitives are packed).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.chain.chain import ChainParameters, ExecutionBuffer, buffer_from_wire
 from repro.chain.gas import (
@@ -152,7 +155,7 @@ class ShardEnvironment:
     """Everything the shard phases mutate, owned by exactly one interpreter.
 
     The scheduler builds one for the whole fleet (serial/thread modes); each
-    worker process builds one for the feeds of its pinned shards (process
+    worker process builds one for the feeds its lane hosts (process
     mode).  Phases only ever touch entries for the feeds they were handed, so
     a worker's environment never needs entries for other lanes' feeds.
     """
@@ -402,13 +405,13 @@ def settle_feed_epoch(
 
 @dataclass(frozen=True)
 class LaneConfig:
-    """Everything one worker process needs to rebuild its pinned shards.
+    """Everything a worker process needs to start its lane.
 
-    Crosses the boundary exactly once, at lane start.  The bulky, regular
-    parts — every feed's workload operations and preload records — travel in
-    :attr:`seed_frame`, wire-packed; only the small irregular remainder (the
-    specs' configs, consumer factories and quota fields) rides on the pickled
-    dataclass itself.
+    Crosses the boundary once, at lane spawn.  A lane starts on a fresh
+    worker-local registry and receives its feeds as snapshot frames — unless
+    :attr:`adopt` names feeds, in which case the lane was forked from the
+    main process at the boundary it spawned at and takes those feeds over
+    from its copy-on-write image of the main registry (:data:`_FORK_SEED`).
     """
 
     schedule: GasSchedule
@@ -416,43 +419,12 @@ class LaneConfig:
     router_address: str
     cache_enabled: bool
     cache_capacity: Optional[int]
-    #: shard index → that shard's feeds' specs (preload stripped — it travels
-    #: in :attr:`seed_frame`), in shard order.
-    shards: Dict[int, Tuple[FeedSpec, ...]]
-    #: Wire-packed workloads + preloads for every feed of every shard, in the
-    #: same sorted-shard / per-shard feed order as :attr:`shards`.
-    seed_frame: WireFrame
     #: When set, the lane times per-shard phase spans (its own monotonic
     #: clock) and ships them back in :attr:`ShardEpochResult.spans`.
     obs_enabled: bool = False
-    #: When set, the lane additionally measures what each epoch's results
-    #: *would* have cost as a generic protocol-5 pickle
-    #: (:attr:`LaneEpochEnvelope.legacy_pickle_bytes`), so the codec's
-    #: reduction is a recorded before/after, not an estimate.
-    ipc_profile: bool = False
-
-
-@dataclass(frozen=True)
-class ForkLaneConfig:
-    """Lane startup order for **fork-seeded** lanes (the ``inherit`` seed mode).
-
-    On a fork start method the worker process is a copy-on-write clone of the
-    main process taken at pool startup — the fully built registry and the
-    workload queues are already in its address space, bit-for-bit the state a
-    dedicated mirror would have to be rebuilt into.  Shipping specs and
-    workloads again (and re-running every feed's Merkle build in the worker)
-    would only re-derive what the fork already copied, so this config carries
-    nothing but the lane's shard→feed pinning and the runtime flags; the
-    worker adopts the inherited registry via :data:`_FORK_SEED` and drives
-    only its own shards against it.
-    """
-
-    #: shard index → that shard's feed ids, in shard order.
-    shard_feeds: Dict[int, Tuple[str, ...]]
-    cache_enabled: bool
-    cache_capacity: Optional[int]
-    obs_enabled: bool = False
-    ipc_profile: bool = False
+    #: Feeds the lane adopts from its fork of the main process; every other
+    #: feed the fork inherited is dropped.
+    adopt: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -518,9 +490,6 @@ class LaneEpochEnvelope:
     #: Worker-side wall time spent encoding the frame (the IPC meter's
     #: ``ipc_encode_seconds``).
     encode_seconds: float
-    #: What this epoch's results measured as a generic protocol-5 pickle —
-    #: the pre-codec wire format.  0 unless :attr:`LaneConfig.ipc_profile`.
-    legacy_pickle_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -544,8 +513,8 @@ class FeedStateResult:
     cache_stats: Optional[CacheStats]
     #: When set, :attr:`sp_store_state` is a delta against an *empty* store
     #: (the feed was snapshot-installed into its lane, so the lane never saw
-    #: the main mirror's seed state): the main side resets its mirror's store
-    #: before applying, instead of patching the seed state in place.
+    #: the main mirror's state): the main side resets its mirror's store
+    #: before applying, instead of patching that state in place.
     store_reset: bool = False
 
 
@@ -595,22 +564,6 @@ def _decode_operation(r: WireReader) -> Operation:
         size_bytes=r.uvarint(),
         scan_length=r.uvarint(),
         sequence=r.svarint(),
-    )
-
-
-def _encode_record(w: WireWriter, record: KVRecord) -> None:
-    w.string(record.key)
-    w.bytes_(record.value)
-    w.uvarint(_STATE_INDEX[record.state])
-    w.uvarint(record.version)
-
-
-def _decode_record(r: WireReader) -> KVRecord:
-    return KVRecord(
-        key=r.string(),
-        value=r.bytes_(),
-        state=_REPLICATION_STATES[r.uvarint()],
-        version=r.uvarint(),
     )
 
 
@@ -716,53 +669,6 @@ def _decode_settlement(r: WireReader) -> Optional[SettlementResult]:
     )
 
 
-def encode_lane_seed(
-    encoder: WireEncoder,
-    seed_items: Sequence[Tuple[int, Sequence[Tuple[Sequence[Operation], Optional[Sequence[KVRecord]]]]]],
-) -> WireFrame:
-    """Pack one lane's complete startup payload: per shard (sorted order),
-    per feed, the workload operations and the optional preload records."""
-    w = encoder.writer()
-    w.uvarint(len(seed_items))
-    for shard_index, feeds in seed_items:
-        w.uvarint(shard_index)
-        w.uvarint(len(feeds))
-        for operations, preload in feeds:
-            w.uvarint(len(operations))
-            for operation in operations:
-                _encode_operation(w, operation)
-            if preload is None:
-                w.uvarint(0)
-            else:
-                w.uvarint(len(preload) + 1)
-                for record in preload:
-                    _encode_record(w, record)
-    return w.frame()
-
-
-def decode_lane_seed(
-    decoder: WireDecoder, frame: WireFrame
-) -> Dict[int, List[Tuple[List[Operation], Optional[List[KVRecord]]]]]:
-    """Decode :func:`encode_lane_seed`: shard index → per-feed
-    ``(operations, preload)`` in the shard's feed order."""
-    r = decoder.reader(frame)
-    shards: Dict[int, List[Tuple[List[Operation], Optional[List[KVRecord]]]]] = {}
-    for _ in range(r.uvarint()):
-        shard_index = r.uvarint()
-        feeds: List[Tuple[List[Operation], Optional[List[KVRecord]]]] = []
-        for _ in range(r.uvarint()):
-            operations = [_decode_operation(r) for _ in range(r.uvarint())]
-            marker = r.uvarint()
-            preload = (
-                None
-                if marker == 0
-                else [_decode_record(r) for _ in range(marker - 1)]
-            )
-            feeds.append((operations, preload))
-        shards[shard_index] = feeds
-    return shards
-
-
 def encode_lane_arrivals(
     encoder: WireEncoder, arrivals: Sequence[Tuple[str, Sequence[Operation]]]
 ) -> WireFrame:
@@ -770,7 +676,7 @@ def encode_lane_arrivals(
     the caller's sorted order), the operations joining the tail of that
     feed's worker-local queue.
 
-    Arrivals frames use a fresh channel per boundary, like the seed frame:
+    Arrivals frames use a fresh channel per boundary, like snapshot frames:
     they flow main → worker, opposite the lane's persistent epoch-result
     channel, and a boundary's batch is small enough that cross-boundary
     interning would buy nothing.
@@ -802,7 +708,7 @@ def decode_lane_arrivals(
 def encode_lane_epoch(
     encoder: WireEncoder, epoch: int, results: Sequence[ShardEpochResult]
 ) -> WireFrame:
-    """Pack one lane's whole epoch — every pinned shard's result — into one
+    """Pack one lane's whole epoch — every assigned shard's result — into one
     contiguous frame on the lane's persistent channel."""
     w = encoder.writer()
     w.uvarint(epoch)
@@ -1174,8 +1080,6 @@ class IpcSample:
     encode_seconds: float
     #: Main-side decode wall time.
     decode_seconds: float
-    #: Same results as a generic protocol-5 pickle (0 unless profiling).
-    legacy_pickle_bytes: int = 0
 
 
 class IpcMeter:
@@ -1191,8 +1095,9 @@ class IpcMeter:
         #: Cross-lane feed moves (source snapshot → destination install).
         self.migrations = 0
         self.migration_bytes = 0
-        #: Main→lane snapshot installs (initial elastic placement and
-        #: admissions — every elastic feed arrives by one of these).
+        #: Main→lane snapshot installs (placements not adopted from a lane's
+        #: fork: admissions into live lanes, and every placement where the
+        #: platform does not fork).
         self.installs = 0
         self.install_bytes = 0
         #: Lane pool elasticity events (spawned / drained-and-retired lanes).
@@ -1217,24 +1122,19 @@ class IpcMeter:
                     "wire_bytes": 0,
                     "encode_seconds": 0.0,
                     "decode_seconds": 0.0,
-                    "legacy_pickle_bytes": 0,
                 },
             )
             row["epochs"] += 1
             row["wire_bytes"] += sample.wire_bytes
             row["encode_seconds"] += sample.encode_seconds
             row["decode_seconds"] += sample.decode_seconds
-            row["legacy_pickle_bytes"] += sample.legacy_pickle_bytes
 
     def summary(self) -> dict:
         """Plain-data totals (the shape ``FleetTelemetry.ipc`` carries and the
         benchmark records): fleet-wide bytes/epoch, encode/decode seconds,
-        per-lane rows, and — when profiled — the legacy-pickle comparison."""
+        per-lane rows, migration, install and lane-pool counts."""
         wire_total = int(sum(row["wire_bytes"] for row in self.lanes.values()))
-        legacy_total = int(
-            sum(row["legacy_pickle_bytes"] for row in self.lanes.values())
-        )
-        out: dict = {
+        return {
             "epochs": self.epochs,
             "wire_bytes_total": wire_total,
             "bytes_per_epoch": wire_total / self.epochs if self.epochs else 0.0,
@@ -1253,13 +1153,6 @@ class IpcMeter:
             "lane_spawns_total": self.lane_spawns,
             "lane_retirements_total": self.lane_retirements,
         }
-        if legacy_total:
-            out["legacy_pickle_bytes_total"] = legacy_total
-            out["legacy_bytes_per_epoch"] = (
-                legacy_total / self.epochs if self.epochs else 0.0
-            )
-            out["reduction_vs_pickle"] = 1.0 - wire_total / legacy_total
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -1268,15 +1161,15 @@ class IpcMeter:
 
 
 class _LaneWorker:
-    """A worker process's resident runtime: full mirrors of its shards' feeds.
+    """A worker process's resident runtime: full mirrors of its lane's feeds.
 
-    Built once per lane from the shipped :class:`LaneConfig`; lives for the
-    whole run.  Every epoch it executes the complete epoch for each of its
-    shards — drive, watchdog poll, deliver settlement, cache warm-up, update
-    settlement, per-feed accounting — against its *local* chain, in the same
-    per-feed order a serial run uses, and ships back only the deltas the main
-    chain must record, as one wire frame per epoch on the lane's persistent
-    channel.
+    Built once per lane from the shipped :class:`LaneConfig`; lives until the
+    lane retires.  Each epoch it executes the complete epoch for every shard
+    of its current assignment — drive, watchdog poll, deliver settlement,
+    cache warm-up, update settlement, per-feed accounting — against its
+    *local* chain, in the same per-feed order a serial run uses, and ships
+    back only the deltas the main chain must record, as one wire frame per
+    epoch on the lane's persistent channel.
 
     The local chain's heights are private bookkeeping: drive events cross
     unstamped (the main chain stamps them at merge time) and settlement
@@ -1285,110 +1178,107 @@ class _LaneWorker:
     what allows it to run epochs ahead of the main process's merge.
     """
 
-    def __init__(self, config: Union[LaneConfig, ForkLaneConfig]) -> None:
+    def __init__(self, config: LaneConfig) -> None:
         #: Lane-local tracer (own process, own clock).  It only ever creates
         #: detached spans; the finished spans ship back as wire dicts and the
         #: main process owns the tree they end up in.
         self.tracer = Tracer(enabled=config.obs_enabled)
-        self.ipc_profile = config.ipc_profile
         #: The lane's epoch-result channel (worker → main); persistent, so
-        #: feed ids and keys intern once for the whole run.
+        #: feed ids and keys intern once for the lane's lifetime.
         self.encoder = WireEncoder()
         cache = ReadCache(capacity=config.cache_capacity) if config.cache_enabled else None
+        #: The current order's ``(shard_index, feed_ids)`` assignment.
         self.shards: List[Tuple[int, List[str]]] = []
+        #: feed id → its SP store's ``(records, slot count, free slots)`` when
+        #: the lane took it over; the run-end state ships as a delta against
+        #: it (empty for installed feeds, whose main mirror is reset first).
+        self._store_baseline: Dict[str, tuple] = {}
         #: Feeds that arrived via :meth:`install_feed` — their run-end store
         #: state ships as a full-from-empty delta (``store_reset``).
         self._installed: set = set()
-        if isinstance(config, ForkLaneConfig):
-            seed = _FORK_SEED
-            if seed is None:
-                raise ConfigurationError(
-                    "fork-seeded lane started without an inherited seed — "
-                    "the pool's start method is not 'fork'; use the 'wire' "
-                    "seed mode instead"
-                )
-            registry, queues = seed
-            #: The forked copy of the main registry: every feed's contracts,
-            #: stores and control planes exactly as the main process built
-            #: them, for free via copy-on-write.  The lane only ever drives
-            #: its own shards against it; the chain's obs hook is severed
-            #: (metrics belong to the main process, and worker-side mining
-            #: must not pay for them).
-            self.registry = registry
-            self.registry.chain.obs = None
+        if not config.adopt:
+            self.registry = FeedRegistry(
+                schedule=config.schedule,
+                parameters=config.parameters,
+                router_address=config.router_address,
+            )
             self.env = ShardEnvironment(registry=self.registry, cache=cache)
-            for shard_index in sorted(config.shard_feeds):
-                feed_ids = list(config.shard_feeds[shard_index])
-                for feed_id in feed_ids:
-                    self.env.queues[feed_id] = queues[feed_id]
-                    self.env.dirty[feed_id] = set()
-                    self.env.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
-                    if cache is not None:
-                        cache.ensure_shard(feed_id)
-                self.shards.append((shard_index, feed_ids))
-            self._snapshot_store_baselines()
             return
-        self.registry = FeedRegistry(
-            schedule=config.schedule,
-            parameters=config.parameters,
-            router_address=config.router_address,
-        )
-        self.env = ShardEnvironment(registry=self.registry, cache=cache)
-        seeds = decode_lane_seed(WireDecoder(), config.seed_frame)
-        for shard_index in sorted(config.shards):
-            specs = config.shards[shard_index]
-            shard_seeds = seeds[shard_index]
-            if len(shard_seeds) != len(specs):
-                raise WireError(
-                    f"lane seed frame carries {len(shard_seeds)} feeds for "
-                    f"shard {shard_index}, config names {len(specs)}"
-                )
-            feed_ids: List[str] = []
-            for spec, (operations, preload) in zip(specs, shard_seeds):
-                self.registry.create_feed(
-                    replace(spec, preload=preload) if preload is not None else spec
-                )
-                feed_id = spec.feed_id
-                feed_ids.append(feed_id)
-                self.env.queues[feed_id] = deque(operations)
-                self.env.dirty[feed_id] = set()
-                self.env.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
-                if cache is not None:
-                    cache.ensure_shard(feed_id)
-            self.shards.append((shard_index, feed_ids))
-        self._snapshot_store_baselines()
+        seed = _FORK_SEED
+        if seed is None:
+            raise ConfigurationError(
+                "lane was told to adopt feeds from its fork of the main "
+                "process, but it was not forked from it"
+            )
+        # The fork's copy-on-write image of the main registry: every feed's
+        # contracts, stores and control planes exactly as the main process
+        # holds them.  The lane keeps only its adopted feeds; the chain's obs
+        # hook and the main scheduler's removal listeners stay behind
+        # (metrics and the main cache belong to the main process).
+        registry = seed.registry
+        registry.chain.obs = None
+        registry.removal_listeners = []
+        for feed_id in registry.feed_ids:
+            if feed_id not in config.adopt:
+                registry.remove_feed(feed_id)
+        # Start the watchdog at the end of the inherited log, where a fresh
+        # lane's watchdog starts: the merged events of other lanes' feeds
+        # were routed and answered in those lanes.
+        registry.watchdog._cursor = len(registry.chain.event_log)
+        self.registry = registry
+        self.env = ShardEnvironment(registry=registry, cache=cache)
+        for feed_id in config.adopt:
+            store = registry.get(feed_id).system.sp_store
+            if isinstance(store.backing, LSMStore):
+                # The main process closed its opener before the fork.
+                store.backing.obs = None
+                store.backing.reopen()
+            entries, stats = _cache_shard(seed.cache, feed_id)
+            self._host(
+                feed_id,
+                seed.queues[feed_id],
+                seed.dirty[feed_id],
+                seed.feeds[feed_id],
+                entries,
+                stats,
+            )
+            self._store_baseline[feed_id] = (
+                {
+                    key: (record.version, record.state, record.value)
+                    for key, record in store._records.items()
+                },
+                len(store._slots),
+                list(store._free_slots),
+            )
 
-    def _snapshot_store_baselines(self) -> None:
-        """Record each feed's SP-store state at seed time.
-
-        Both seed modes leave the worker's stores identical to the main
-        registry's (fork copies them; wire rebuilds them from the same
-        preloads), so at run end :meth:`_pack_store` only needs to ship what
-        *diverged* from this snapshot — the main side patches its own copy.
-        """
-        self._store_baseline: Dict[str, tuple] = {}
-        for _, shard in self.shards:
-            for feed_id in shard:
-                store = self.registry.get(feed_id).system.sp_store
-                self._store_baseline[feed_id] = (
-                    {
-                        key: (record.version, record.state, record.value)
-                        for key, record in store._records.items()
-                    },
-                    len(store._slots),
-                    list(store._free_slots),
-                )
-
-    # -- one epoch -----------------------------------------------------------
+    def _host(
+        self,
+        feed_id: str,
+        queue: Sequence[Operation],
+        dirty: set,
+        telemetry: FeedTelemetry,
+        cache_entries: Sequence[Tuple[str, bytes]],
+        cache_stats: Optional[CacheStats],
+    ) -> None:
+        """Wire a feed's environment side: queue, dirty keys, telemetry row
+        and cache shard."""
+        self.env.queues[feed_id] = deque(queue)
+        self.env.dirty[feed_id] = set(dirty)
+        self.env.feeds[feed_id] = telemetry
+        cache = self.env.cache
+        if cache is not None:
+            cache.ensure_shard(feed_id)
+            if cache_stats is not None:
+                cache.install_shard(feed_id, cache_entries, cache_stats)
 
     def ingest(self, frame: WireFrame) -> None:
         """Append one epoch boundary's live arrivals to this lane's queues.
 
-        Called (via :func:`_lane_live_epoch`) immediately before the epoch
-        the arrivals join: the scheduler ships each boundary's arrivals with
-        the epoch order itself, so by drive time the worker-local queues
-        hold exactly what the serial path's ``_ingest`` would have appended
-        at the same boundary.
+        Called (via :func:`_lane_epochs`) immediately before the epoch the
+        arrivals join: the scheduler ships each boundary's arrivals with the
+        epoch order itself, so by drive time the worker-local queues hold
+        exactly what the serial path's ``_ingest`` would have appended at the
+        same boundary.
         """
         for feed_id, operations in decode_lane_arrivals(WireDecoder(), frame):
             queue = self.env.queues.get(feed_id)
@@ -1399,11 +1289,11 @@ class _LaneWorker:
                 )
             queue.extend(operations)
 
-    # -- elastic lane operations (migration / admission / eviction) ----------
+    # -- feed lifecycle (placement / migration / eviction) -------------------
 
     def set_assignment(self, shards: Sequence[Tuple[int, Sequence[str]]]) -> None:
-        """Adopt this epoch's shard→feed assignment (elastic mode re-plans
-        every epoch, so the pinning is per-order, not per-run)."""
+        """Adopt an order's shard→feed assignment (the plan may change at
+        every boundary, so the assignment is per order, not per run)."""
         for _, feed_ids in shards:
             for feed_id in feed_ids:
                 if feed_id not in self.env.queues:
@@ -1426,18 +1316,16 @@ class _LaneWorker:
         handle = self.registry.create_feed(spec)
         install_feed_snapshot(handle, snapshot)
         feed_id = snapshot.feed_id
-        self.env.queues[feed_id] = deque(snapshot.queue)
-        self.env.dirty[feed_id] = set(snapshot.dirty)
-        self.env.feeds[feed_id] = snapshot.telemetry
-        cache = self.env.cache
-        if cache is not None:
-            cache.ensure_shard(feed_id)
-            if snapshot.cache_stats is not None:
-                cache.install_shard(
-                    feed_id, snapshot.cache_entries, snapshot.cache_stats
-                )
+        self._host(
+            feed_id,
+            snapshot.queue,
+            snapshot.dirty,
+            snapshot.telemetry,
+            snapshot.cache_entries,
+            snapshot.cache_stats,
+        )
         # Every installed feed's store baseline is *empty*: the lane never
-        # saw the main mirror's seed state, so the run-end delta ships the
+        # saw the main mirror's state, so the run-end delta ships the
         # whole store and the main side resets before applying.
         self._store_baseline[feed_id] = ({}, 0, [])
         self._installed.add(feed_id)
@@ -1451,12 +1339,7 @@ class _LaneWorker:
         """
         handle = self.registry.get(feed_id)
         cache = self.env.cache
-        if cache is not None:
-            shard_obj = cache._shards.get(feed_id)
-            entries = tuple(shard_obj.entries.items()) if shard_obj else ()
-            stats = shard_obj.stats if shard_obj else CacheStats()
-        else:
-            entries, stats = (), None
+        entries, stats = _cache_shard(cache, feed_id)
         frame = encode_feed_snapshot(
             WireEncoder(),
             handle,
@@ -1466,9 +1349,7 @@ class _LaneWorker:
             cache_entries=entries,
             cache_stats=stats,
         )
-        backing = handle.system.sp_store.backing
-        if isinstance(backing, LSMStore):
-            backing.close()
+        _close_lsm(handle)
         self.registry.remove_feed(feed_id)
         del self.env.queues[feed_id]
         del self.env.dirty[feed_id]
@@ -1501,9 +1382,7 @@ class _LaneWorker:
         if queue:
             telemetry.cancelled_ops += len(queue)
         telemetry.departed_epoch = epoch
-        backing = handle.system.sp_store.backing
-        if isinstance(backing, LSMStore):
-            backing.close()
+        _close_lsm(handle)
         self.registry.remove_feed(feed_id)
         self.env.dirty.pop(feed_id, None)
         if self.env.cache is not None:
@@ -1624,15 +1503,10 @@ class _LaneWorker:
                 )
             )
 
-        legacy_bytes = (
-            len(pickle.dumps(results, protocol=5)) if self.ipc_profile else 0
-        )
         started = time.perf_counter()
         frame = encode_lane_epoch(self.encoder, epoch, results)
         return LaneEpochEnvelope(
-            frame=frame,
-            encode_seconds=time.perf_counter() - started,
-            legacy_pickle_bytes=legacy_bytes,
+            frame=frame, encode_seconds=time.perf_counter() - started
         )
 
     def _settle(self, transaction: Transaction, feed_ids: List[str]) -> SettlementResult:
@@ -1668,7 +1542,8 @@ class _LaneWorker:
     # -- run-end state shipping ----------------------------------------------
 
     def _pack_store(self, feed_id: str, store) -> dict:
-        """The feed's SP store as a delta against the seed-time snapshot.
+        """The feed's SP store as a delta against its baseline (the store as
+        the lane adopted it, or empty for an installed feed).
 
         Ships only the records whose ``(version, state, value)`` diverged,
         the keys that vanished, the slot-layout change (appended tail in the
@@ -1718,15 +1593,8 @@ class _LaneWorker:
                 )
                 # Hand an LSM directory back to the main process: it reopens
                 # the feed's own (closed) backing before applying this state.
-                backing = handle.system.sp_store.backing
-                if isinstance(backing, LSMStore):
-                    backing.close()
-                if cache is not None:
-                    shard_obj = cache._shards.get(feed_id)
-                    entries = tuple(shard_obj.entries.items()) if shard_obj else ()
-                    stats = shard_obj.stats if shard_obj else CacheStats()
-                else:
-                    entries, stats = (), None
+                _close_lsm(handle)
+                entries, stats = _cache_shard(cache, feed_id)
                 results.append(
                     FeedStateResult(
                         feed_id=feed_id,
@@ -1747,6 +1615,27 @@ class _LaneWorker:
                     )
                 )
         return results
+
+
+def _close_lsm(handle) -> None:
+    """Release a feed's exclusive LSM directory opener, if it has one, so
+    another process may open the directory next."""
+    backing = handle.system.sp_store.backing
+    if isinstance(backing, LSMStore):
+        backing.close()
+
+
+def _cache_shard(
+    cache: Optional[ReadCache], feed_id: str
+) -> Tuple[Tuple[Tuple[str, bytes], ...], Optional[CacheStats]]:
+    """A feed's cache shard as ``(entries, stats)`` for shipping — stats are
+    ``None`` when the gateway runs without a read cache."""
+    if cache is None:
+        return (), None
+    shard = cache._shards.get(feed_id)
+    if shard is None:
+        return (), CacheStats()
+    return tuple(shard.entries.items()), shard.stats
 
 
 #: Contract attributes that must not cross the process boundary: the chain
@@ -1773,43 +1662,38 @@ def _apply_contract_state(contract, attrs: dict, slots: Dict[str, bytes]) -> Non
 #: The lane's resident worker, one per process (set by :func:`_lane_start`).
 _LANE_WORKER: Optional[_LaneWorker] = None
 
-#: Fork-seeding handoff: the parent sets this to ``(registry, queues)``
-#: immediately before spawning fork-seeded lanes and clears it once they have
-#: started; each lane's forked copy keeps its own private reference.  Only
-#: meaningful under a ``fork`` start method — it is the parent's built state
-#: that the fork duplicates into the worker for free.
-_FORK_SEED: Optional[Tuple[FeedRegistry, Dict[str, Deque[Operation]]]] = None
+#: Fork-adoption handoff: the main process points this at its run's
+#: :class:`ShardEnvironment` immediately before spawning lanes, and clears it
+#: once they have started; a lane reads it only when told to adopt feeds.  It
+#: is never pickled — only a fork carries it into a lane, as the lane's
+#: private copy-on-write image.
+_FORK_SEED: Optional[ShardEnvironment] = None
 
 
-def _lane_start(config: Union[LaneConfig, ForkLaneConfig]) -> int:
+def _lane_start(config: LaneConfig) -> None:
     global _LANE_WORKER
     _LANE_WORKER = _LaneWorker(config)
-    return len(_LANE_WORKER.shards)
 
 
-def _lane_epochs(start: int, count: int, epoch_size: int) -> List[LaneEpochEnvelope]:
-    """Run ``count`` consecutive epochs back-to-back, one wire frame each.
-
-    Epochs are ordered in batches (the scheduler submits every epoch the
-    remaining workloads guarantee as one order) so the per-task pool overhead
-    — argument pickling, queue wakeups, result marshalling — is paid once per
-    batch instead of once per epoch."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    run_epoch = _LANE_WORKER.run_epoch
-    return [run_epoch(epoch, epoch_size) for epoch in range(start, start + count)]
-
-
-def _lane_live_epoch(
-    epoch: int, epoch_size: int, arrivals_frame: Optional[WireFrame]
+def _lane_epochs(
+    start: int,
+    count: int,
+    epoch_size: int,
+    shards: Sequence[Tuple[int, Sequence[str]]],
+    arrivals_frame: Optional[WireFrame],
 ) -> List[LaneEpochEnvelope]:
-    """Run one live epoch: ingest the boundary's arrivals (when any reached
-    this lane), then drive the epoch.  Live runs are lockstep — the
-    scheduler cannot submit ahead of arrivals it has not yet seen — so each
-    order carries exactly one epoch."""
+    """Run one order: adopt its shard assignment, ingest the boundary's live
+    arrivals (when any reached this lane), then run ``count`` consecutive
+    epochs back-to-back, one wire frame each.
+
+    A multi-epoch order pays the per-task pool overhead — argument pickling,
+    queue wakeups, result marshalling — once for the whole batch."""
     assert _LANE_WORKER is not None, "lane worker not started"
+    _LANE_WORKER.set_assignment(shards)
     if arrivals_frame is not None:
         _LANE_WORKER.ingest(arrivals_frame)
-    return [_LANE_WORKER.run_epoch(epoch, epoch_size)]
+    run_epoch = _LANE_WORKER.run_epoch
+    return [run_epoch(epoch, epoch_size) for epoch in range(start, start + count)]
 
 
 def _lane_collect() -> List[FeedStateResult]:
@@ -1835,49 +1719,13 @@ def _lane_teardown(feed_id: str, epoch: int) -> FeedTelemetry:
     return _LANE_WORKER.teardown_feed(feed_id, epoch)
 
 
-def _lane_elastic_epoch(
-    epoch: int,
-    epoch_size: int,
-    shards: Sequence[Tuple[int, Sequence[str]]],
-    arrivals_frame: Optional[WireFrame],
-) -> List[LaneEpochEnvelope]:
-    """Run one elastic epoch: adopt this epoch's shard assignment, ingest
-    the boundary's arrivals, then drive the epoch.  Elastic runs are
-    lockstep — the next plan needs this epoch's observed gas — so each
-    order carries exactly one epoch."""
-    assert _LANE_WORKER is not None, "lane worker not started"
-    _LANE_WORKER.set_assignment(shards)
-    if arrivals_frame is not None:
-        _LANE_WORKER.ingest(arrivals_frame)
-    return [_LANE_WORKER.run_epoch(epoch, epoch_size)]
-
-
 # ---------------------------------------------------------------------------
 # Process backend: the main-process engine
 # ---------------------------------------------------------------------------
 
-#: How lanes receive their feeds at startup.  ``inherit`` adopts the main
-#: process's built registry via fork copy-on-write (no re-derivation, no
-#: startup shipping — but fork only); ``wire`` ships preload-stripped specs
-#: plus a wire-packed seed frame and rebuilds mirrors in the worker (any
-#: start method); ``auto`` picks by the platform's start method.
-SEED_MODES = ("auto", "inherit", "wire")
-
-
-def _resolve_seed_mode(requested: str) -> str:
-    """Resolve the effective seed mode (``GRUB_PROCESS_SEED`` overrides)."""
-    mode = os.environ.get("GRUB_PROCESS_SEED", requested)
-    if mode not in SEED_MODES:
-        raise ConfigurationError(
-            f"unknown process seed mode {mode!r}; expected one of {SEED_MODES}"
-        )
-    if mode == "auto":
-        return "inherit" if multiprocessing.get_start_method() == "fork" else "wire"
-    return mode
-
 
 class _PendingBatch:
-    """One in-flight multi-epoch order on one lane."""
+    """One in-flight order on one lane: ``count`` epochs from ``start``."""
 
     __slots__ = ("future", "start", "count", "envelopes", "taken")
 
@@ -1892,209 +1740,223 @@ class _PendingBatch:
 class ProcessEngine:
     """Persistent multi-process execution backend for the epoch scheduler.
 
-    One single-worker :class:`ProcessPoolExecutor` per lane keeps each lane's
-    worker process alive (and its shard state resident) for the whole run;
-    shards are pinned ``shard_index % num_lanes``.
+    Each lane is a single-worker :class:`ProcessPoolExecutor` whose worker
+    process hosts full mirrors of the lane's feeds for as long as the lane
+    lives.  The pool grows to the plan's lane demand (:meth:`ensure_lanes`)
+    and shrinks once a drained lane hosts nothing (:meth:`retire_lanes`).
+    A feed reaches a lane by one of two placements:
 
-    Epoch execution is **pipelined**: :meth:`submit_epoch` queues an epoch on
-    every lane (each lane's single-worker pool runs its queue back-to-back),
-    and :meth:`results` blocks for — and decodes — one specific epoch's
-    frames.  The scheduler submits as many epochs ahead as the remaining
-    workloads guarantee will run, so lanes never idle waiting for the main
-    process's merge.  Because each lane's frames are produced and decoded
-    strictly in epoch order, the persistent per-lane wire channels
-    (:class:`~repro.common.wire.WireEncoder` / ``WireDecoder``) stay in sync
-    by construction.
+    * **adopt** — on a fork platform (:meth:`fork_placement`), a lane
+      spawned at a boundary takes the feeds the plan assigns it over from
+      its fork of the main process: nothing is encoded or rebuilt;
+    * **install** — every other placement ships the feed's mirror as a
+      snapshot frame (:func:`encode_feed_snapshot`) into a live lane;
+
+    and moves or leaves by:
+
+    * **migrate** — the source lane snapshots the feed out (closing any
+      exclusive LSM directory opener) and the destination installs the
+      frame, which passes *through* the main process raw, never decoded;
+    * **teardown** — an eviction order; the lane returns the feed's final
+      telemetry row (poll + cancel accounting identical to a serial
+      boundary).
+
+    An epoch order (:meth:`submit`) carries each lane's shard assignment
+    and may cover many epochs, which the lane runs back-to-back while the
+    main process merges behind it; :meth:`results` blocks for — and decodes
+    — one epoch's frames.  Each lane's frames are produced and decoded
+    strictly in epoch order, so the persistent per-lane wire channels stay
+    in sync by construction.
     """
 
-    def __init__(
-        self, num_lanes: int, *, ipc_profile: bool = False, seed_mode: str = "auto"
-    ) -> None:
+    def __init__(self, num_lanes: int) -> None:
         if num_lanes <= 0:
             raise ConfigurationError("process backend needs at least one lane")
         self.num_lanes = num_lanes
-        self.ipc_profile = ipc_profile
-        self.seed_mode = _resolve_seed_mode(seed_mode)
         #: Per-lane IPC totals for the run (always metered).
         self.meter = IpcMeter()
-        self._pools: List[ProcessPoolExecutor] = []
-        self._lane_shards: Dict[int, List[int]] = {}
-        self._lane_ids: List[int] = []
-        self._feed_lane: Dict[str, int] = {}
-        self._pending: List[Deque[_PendingBatch]] = []
-        self._decoders: List[WireDecoder] = []
+        self._template: Optional[LaneConfig] = None
+        self._pools: Dict[int, ProcessPoolExecutor] = {}
+        #: lane → the persistent decoder of its epoch-result channel.
+        self._decoders: Dict[int, WireDecoder] = {}
+        #: lane → its in-flight orders, oldest first.
+        self._pending: Dict[int, Deque[_PendingBatch]] = {}
+        #: shard index → lane, for the latest order (span labels).
+        self._shard_lane: Dict[int, int] = {}
 
-    # -- lifecycle -----------------------------------------------------------
+    @staticmethod
+    def fork_placement() -> bool:
+        """Whether lanes start by fork, so a lane spawned at a boundary can
+        adopt its feeds from its copy of the main process instead of a
+        snapshot frame.  The platform's start method decides."""
+        return multiprocessing.get_start_method() == "fork"
+
+    # -- lane pool -----------------------------------------------------------
 
     def start(
         self,
         registry: FeedRegistry,
-        shard_plan: Sequence[Sequence[str]],
-        queues: Dict[str, Deque[Operation]],
         *,
         cache_enabled: bool,
         cache_capacity: Optional[int],
         obs_enabled: bool = False,
     ) -> None:
-        """Spawn the lanes and hand each its pinned shards.
+        """Capture the lane template.  No lanes spawn here —
+        :meth:`ensure_lanes` spawns them as the plan demands."""
+        self._template = LaneConfig(
+            schedule=registry.schedule,
+            parameters=registry.parameters,
+            router_address=registry.router.address,
+            cache_enabled=cache_enabled,
+            cache_capacity=cache_capacity,
+            obs_enabled=obs_enabled,
+        )
 
-        In ``inherit`` seed mode (fork platforms) the worker adopts the main
-        process's built registry and workload queues via the fork's
-        copy-on-write duplication — the startup order carries only the lane's
-        shard→feed pinning.  In ``wire`` mode the bulky startup payload —
-        every feed's operations and preload — crosses wire-packed
-        (:func:`encode_lane_seed`) and the specs themselves (configs,
-        factories, quotas) ride on the pickled :class:`LaneConfig`; the
-        worker rebuilds dedicated mirrors from them.
+    def ensure_lanes(
+        self,
+        count: int,
+        seed: ShardEnvironment,
+        pending: Mapping[int, Sequence[str]],
+    ) -> Tuple[List[int], List[str]]:
+        """Spawn lanes until lanes ``0..count-1`` are all live; returns the
+        lane ids spawned by this call and the feeds they adopted.
+
+        ``pending`` maps a lane to the main-hosted feeds the plan assigns it,
+        and ``seed`` holds the main process's run state.  Where lanes start
+        by fork (:meth:`fork_placement`), a lane spawned here adopts its
+        pending feeds from its fork: their LSM openers close before the fork,
+        so the lane inherits them closed and re-opens the directories itself,
+        and their main queues empty once the lanes have started.  Every other
+        pending feed is left for :meth:`install`.
         """
-        lanes_used = min(self.num_lanes, max(1, len(shard_plan)))
-        lane_shards: Dict[int, Dict[int, Tuple[str, ...]]] = {
-            lane: {} for lane in range(lanes_used)
-        }
-        for shard_index, shard in enumerate(shard_plan):
-            lane_shards[shard_index % lanes_used][shard_index] = tuple(shard)
-        self._lane_shards = {
-            lane: sorted(shards) for lane, shards in lane_shards.items() if shards
-        }
-        self._lane_ids = sorted(self._lane_shards)
-        self._feed_lane = {
-            feed_id: lane
-            for lane, shards in lane_shards.items()
-            for feeds in shards.values()
-            for feed_id in feeds
-        }
-        configs: Dict[int, Union[LaneConfig, ForkLaneConfig]] = {}
-        if self.seed_mode == "inherit":
-            for lane in self._lane_ids:
-                configs[lane] = ForkLaneConfig(
-                    shard_feeds=lane_shards[lane],
-                    cache_enabled=cache_enabled,
-                    cache_capacity=cache_capacity,
-                    obs_enabled=obs_enabled,
-                    ipc_profile=self.ipc_profile,
-                )
-        else:
-            for lane in self._lane_ids:
-                shard_specs: Dict[int, Tuple[FeedSpec, ...]] = {}
-                lane_seeds = []
-                for shard_index in self._lane_shards[lane]:
-                    specs = []
-                    seeds = []
-                    for feed_id in lane_shards[lane][shard_index]:
-                        spec = registry.get(feed_id).spec
-                        seeds.append((tuple(queues[feed_id]), spec.preload))
-                        if spec.preload is not None:
-                            spec = replace(spec, preload=None)
-                        specs.append(spec)
-                    shard_specs[shard_index] = tuple(specs)
-                    lane_seeds.append((shard_index, seeds))
-                configs[lane] = LaneConfig(
-                    schedule=registry.schedule,
-                    parameters=registry.parameters,
-                    router_address=registry.router.address,
-                    cache_enabled=cache_enabled,
-                    cache_capacity=cache_capacity,
-                    shards=shard_specs,
-                    seed_frame=encode_lane_seed(WireEncoder(), lane_seeds),
-                    obs_enabled=obs_enabled,
-                    ipc_profile=self.ipc_profile,
-                )
-        self._pending = [deque() for _ in self._lane_ids]
-        self._decoders = [WireDecoder() for _ in self._lane_ids]
         global _FORK_SEED
-        if self.seed_mode == "inherit":
-            _FORK_SEED = (registry, queues)
+        assert self._template is not None, "engine not started"
+        spawned = [lane for lane in range(count) if lane not in self._pools]
+        adopt = (
+            {lane: tuple(pending.get(lane, ())) for lane in spawned}
+            if self.fork_placement()
+            else {}
+        )
+        adopted = [feed_id for feeds in adopt.values() for feed_id in feeds]
+        for feed_id in adopted:
+            _close_lsm(seed.registry.get(feed_id))
+        _FORK_SEED = seed
         try:
-            # Pool workers fork at first submit, so the seed handoff above is
-            # visible to every fork-seeded lane; the startup barrier below
-            # guarantees all lanes have forked before the seed is cleared.
-            self._pools = [ProcessPoolExecutor(max_workers=1) for _ in self._lane_ids]
-            startups = [
-                pool.submit(_lane_start, configs[lane])
-                for pool, lane in zip(self._pools, self._lane_ids)
-            ]
-            for lane, future in zip(self._lane_ids, startups):
-                try:
-                    future.result()
-                except ConfigurationError:
-                    self.shutdown()
-                    raise
-                except Exception as exc:
-                    # The dominant startup failure is an unpicklable spec
-                    # payload (a consumer factory closing over live chain
-                    # objects, say); surface it as the configuration error it
-                    # is instead of a broken-pool traceback.
-                    self.shutdown()
-                    raise ConfigurationError(
-                        "process execution mode hands feed specs and "
-                        f"workloads to worker processes, but lane {lane} "
-                        f"failed to start (unpicklable spec payload?): {exc!r}"
-                    ) from exc
+            # Pool workers start at the first submit, so every lane below
+            # forks while the seed is set; the barrier after the loop holds
+            # until all of them have adopted their feeds.
+            startups = []
+            for lane in spawned:
+                pool = self._pools[lane] = ProcessPoolExecutor(max_workers=1)
+                self._decoders[lane] = WireDecoder()
+                self._pending[lane] = deque()
+                config = replace(self._template, adopt=adopt.get(lane, ()))
+                startups.append(pool.submit(_lane_start, config))
+            for future in startups:
+                future.result()
         finally:
             _FORK_SEED = None
+        for feed_id in adopted:
+            seed.queues[feed_id].clear()
+        self.meter.lane_spawns += len(spawned)
+        return spawned, adopted
+
+    def retire_lanes(self, keep: int) -> List[int]:
+        """Shut down every lane with index ``>= keep``.  The caller must have
+        drained them first (migrated every hosted feed away)."""
+        retired = [lane for lane in sorted(self._pools) if lane >= keep]
+        for lane in retired:
+            # wait=True: the lane is drained and idle, and an unwaited
+            # shutdown races the interpreter-exit wakeup of the pool's
+            # management thread ("Exception ignored ... Bad file descriptor").
+            self._pools.pop(lane).shutdown(wait=True, cancel_futures=True)
+            del self._decoders[lane]
+            del self._pending[lane]
+            self.meter.lane_retirements += 1
+        return retired
+
+    # -- feed lifecycle ------------------------------------------------------
+
+    def install(self, lane: int, feed_id: str, seed: ShardEnvironment) -> None:
+        """Hand a main-hosted feed to ``lane`` as a snapshot frame (blocking).
+
+        The main mirror stays registered (the merge records settlements
+        against its addresses), but its queue empties — the lane's copy is
+        the live one now — and an exclusive LSM opener is released before
+        the lane re-opens the directory (single-opener rule).
+        """
+        handle = seed.registry.get(feed_id)
+        entries, stats = _cache_shard(seed.cache, feed_id)
+        frame = encode_feed_snapshot(
+            WireEncoder(),
+            handle,
+            queue=seed.queues[feed_id],
+            dirty=seed.dirty[feed_id],
+            telemetry=seed.feeds[feed_id],
+            cache_entries=entries,
+            cache_stats=stats,
+        )
+        _close_lsm(handle)
+        spec = handle.spec
+        if spec.preload is not None:
+            spec = replace(spec, preload=None)
+        self._pools[lane].submit(_lane_install, spec, frame).result()
+        seed.queues[feed_id].clear()
+        self.meter.record_install(frame.nbytes)
+
+    def migrate(self, feed_id: str, source: int, destination: int, spec: FeedSpec) -> int:
+        """Move one feed between lanes; returns the snapshot frame's bytes.
+
+        Blocking and strictly ordered: the source's ``migrate_out`` resolves
+        (its LSM opener closed, its mirror released) before the destination's
+        install is even submitted.
+        """
+        frame = self._pools[source].submit(_lane_migrate_out, feed_id).result()
+        if spec.preload is not None:
+            spec = replace(spec, preload=None)
+        self._pools[destination].submit(_lane_install, spec, frame).result()
+        self.meter.record_migration(frame.nbytes)
+        return frame.nbytes
+
+    def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
+        """Evict one feed from its lane; returns its final telemetry row."""
+        return self._pools[lane].submit(_lane_teardown, feed_id, epoch).result()
+
+    # -- epochs --------------------------------------------------------------
+
+    def submit(
+        self,
+        start: int,
+        count: int,
+        epoch_size: int,
+        assignments: Mapping[int, Sequence[Tuple[int, Sequence[str]]]],
+        arrivals_by_lane: Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]],
+    ) -> None:
+        """Order ``count`` epochs from ``start`` on every live lane (returns
+        immediately), shipping each lane its ``(shard_index, feed_ids)``
+        assignment plus its slice of the boundary's live arrivals."""
+        self._shard_lane = {
+            shard_index: lane
+            for lane, shards in assignments.items()
+            for shard_index, _ in shards
+        }
+        for lane in sorted(self._pools):
+            items = arrivals_by_lane.get(lane)
+            frame = encode_lane_arrivals(WireEncoder(), items) if items else None
+            future = self._pools[lane].submit(
+                _lane_epochs,
+                start,
+                count,
+                epoch_size,
+                [(index, list(feed_ids)) for index, feed_ids in assignments.get(lane, ())],
+                frame,
+            )
+            self._pending[lane].append(_PendingBatch(future, start, count))
 
     @property
     def lane_of(self) -> Dict[int, int]:
-        """shard index → lane index, for labelling grafted lane spans."""
-        return {
-            shard: lane
-            for lane, shards in self._lane_shards.items()
-            for shard in shards
-        }
-
-    # -- pipelined epochs ------------------------------------------------------
-
-    def submit_epochs(self, start: int, count: int, epoch_size: int) -> None:
-        """Queue ``count`` epochs from ``start`` on every lane as one order
-        (returns immediately).  Each lane's single worker executes the batch
-        back-to-back — one wire frame per epoch — so submitting ahead of the
-        merge keeps every lane busy and pays pool overhead once per batch."""
-        for pending, pool in zip(self._pending, self._pools):
-            pending.append(
-                _PendingBatch(
-                    pool.submit(_lane_epochs, start, count, epoch_size), start, count
-                )
-            )
-
-    def submit_live_epoch(
-        self,
-        epoch: int,
-        epoch_size: int,
-        arrivals: Mapping[str, Sequence[Operation]],
-    ) -> None:
-        """Queue one live epoch on every lane, shipping each lane the slice
-        of this boundary's arrivals destined for feeds it hosts (returns
-        immediately; :meth:`results` for the epoch blocks as usual).
-
-        Live epochs are lockstep — submitted one at a time, because an
-        epoch's arrivals cannot exist before the previous epoch settled and
-        its futures resolved — so every order is a one-epoch batch.  Lanes
-        without arrivals still receive the order: every lane runs every
-        epoch, exactly as in the batch path.
-        """
-        per_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {
-            lane: [] for lane in self._lane_ids
-        }
-        for feed_id in sorted(arrivals):
-            operations = arrivals[feed_id]
-            if not operations:
-                continue
-            lane = self._feed_lane.get(feed_id)
-            if lane is None:
-                raise ConfigurationError(
-                    f"live arrivals for feed {feed_id!r}, which no lane hosts"
-                )
-            per_lane[lane].append((feed_id, operations))
-        for lane, pending, pool in zip(self._lane_ids, self._pending, self._pools):
-            items = per_lane[lane]
-            frame = encode_lane_arrivals(WireEncoder(), items) if items else None
-            pending.append(
-                _PendingBatch(
-                    pool.submit(_lane_live_epoch, epoch, epoch_size, frame),
-                    epoch,
-                    1,
-                )
-            )
+        """shard index → lane, for the latest order (span labels)."""
+        return dict(self._shard_lane)
 
     def results(self, epoch: int) -> Tuple[List[ShardEpochResult], List[IpcSample]]:
         """Wait for — and decode — every lane's frame for ``epoch``.
@@ -2105,7 +1967,8 @@ class ProcessEngine:
         """
         results: List[ShardEpochResult] = []
         samples: List[IpcSample] = []
-        for lane, pending, decoder in zip(self._lane_ids, self._pending, self._decoders):
+        for lane in sorted(self._pools):
+            pending = self._pending[lane]
             batch = pending[0]
             if batch.envelopes is None:
                 batch.envelopes = batch.future.result()
@@ -2114,12 +1977,14 @@ class ProcessEngine:
                     f"lane {lane} results requested for epoch {epoch}, but "
                     f"the next in-flight epoch is {batch.start + batch.taken}"
                 )
-            envelope: LaneEpochEnvelope = batch.envelopes[batch.taken]
+            envelope = batch.envelopes[batch.taken]
             batch.taken += 1
             if batch.taken == batch.count:
                 pending.popleft()
             started = time.perf_counter()
-            frame_epoch, lane_results = decode_lane_epoch(decoder, envelope.frame)
+            frame_epoch, lane_results = decode_lane_epoch(
+                self._decoders[lane], envelope.frame
+            )
             decode_seconds = time.perf_counter() - started
             if frame_epoch != epoch:
                 raise WireError(
@@ -2133,240 +1998,6 @@ class ProcessEngine:
                     wire_bytes=envelope.frame.nbytes,
                     encode_seconds=envelope.encode_seconds,
                     decode_seconds=decode_seconds,
-                    legacy_pickle_bytes=envelope.legacy_pickle_bytes,
-                )
-            )
-            results.extend(lane_results)
-        results.sort(key=lambda result: result.shard_index)
-        self.meter.record(samples)
-        return results, samples
-
-    def collect(self) -> List[FeedStateResult]:
-        """Fetch every lane's final feed state (run end)."""
-        futures = [pool.submit(_lane_collect) for pool in self._pools]
-        results: List[FeedStateResult] = []
-        for future in futures:
-            results.extend(future.result())
-        return results
-
-    def shutdown(self) -> None:
-        # wait=True: lanes are idle here (results already merged), and an
-        # unwaited shutdown races the interpreter-exit wakeup of the pool's
-        # management thread ("Exception ignored ... Bad file descriptor").
-        for pool in self._pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-        self._pools = []
-        self._pending = []
-        self._decoders = []
-
-
-class _ElasticLane:
-    """One live elastic lane: its single-worker pool, the persistent decoder
-    for its epoch-result channel, and its in-flight one-epoch orders."""
-
-    __slots__ = ("pool", "decoder", "pending")
-
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self.pool = pool
-        self.decoder = WireDecoder()
-        self.pending: Deque[_PendingBatch] = deque()
-
-
-class ElasticProcessEngine:
-    """Process backend with feed mobility: lanes are spawned empty and feeds
-    move between them as snapshot frames.
-
-    Where :class:`ProcessEngine` pins shards to lanes for the run and seeds
-    each lane's mirrors at startup, this engine starts every lane **empty**
-    and installs each feed — initial placement, admissions, and per-epoch
-    re-shard moves alike — through :func:`encode_feed_snapshot` frames.  One
-    mechanism covers the whole feed lifecycle:
-
-    * ``install``: main encodes a feed's mirror and a lane adopts it;
-    * ``migrate``: a source lane snapshots a feed out (closing any exclusive
-      LSM directory opener) and a destination lane adopts the frame — the
-      frame passes *through* the main process raw, never decoded there;
-    * ``teardown``: an eviction order; the lane returns the feed's final
-      telemetry row (poll + cancel accounting identical to a serial boundary);
-    * ``ensure_lanes`` / ``retire_lanes``: the pool grows to the plan's lane
-      count and shrinks once a drained lane hosts nothing.
-
-    Epochs are lockstep one-epoch orders (the next plan depends on this
-    epoch's observed gas), each carrying the lane's shard assignment for the
-    epoch — the pinned-shard invariant of the static engine does not exist
-    here.
-    """
-
-    def __init__(self, max_lanes: int, *, ipc_profile: bool = False) -> None:
-        if max_lanes <= 0:
-            raise ConfigurationError("process backend needs at least one lane")
-        self.max_lanes = max_lanes
-        self.ipc_profile = ipc_profile
-        self.meter = IpcMeter()
-        self._lanes: Dict[int, _ElasticLane] = {}
-        self._template: Optional[LaneConfig] = None
-        #: epoch → the sorted lane ids that received that epoch's order.
-        self._participants: Dict[int, List[int]] = {}
-        #: shard index → lane, for the *latest* submitted epoch (span labels).
-        self._shard_lane: Dict[int, int] = {}
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(
-        self,
-        registry: FeedRegistry,
-        *,
-        cache_enabled: bool,
-        cache_capacity: Optional[int],
-        obs_enabled: bool = False,
-    ) -> None:
-        """Capture the empty-lane template.  No lanes spawn here —
-        :meth:`ensure_lanes` spawns them as the plan demands."""
-        self._template = LaneConfig(
-            schedule=registry.schedule,
-            parameters=registry.parameters,
-            router_address=registry.router.address,
-            cache_enabled=cache_enabled,
-            cache_capacity=cache_capacity,
-            shards={},
-            seed_frame=encode_lane_seed(WireEncoder(), []),
-            obs_enabled=obs_enabled,
-            ipc_profile=self.ipc_profile,
-        )
-
-    def ensure_lanes(self, count: int) -> List[int]:
-        """Spawn empty lanes until lanes ``0..count-1`` are all live;
-        returns the lane ids spawned by this call."""
-        assert self._template is not None, "engine not started"
-        spawned: List[int] = []
-        for lane in range(count):
-            if lane in self._lanes:
-                continue
-            pool = ProcessPoolExecutor(max_workers=1)
-            try:
-                pool.submit(_lane_start, self._template).result()
-            except Exception:
-                pool.shutdown(wait=False, cancel_futures=True)
-                self.shutdown()
-                raise
-            self._lanes[lane] = _ElasticLane(pool)
-            self.meter.lane_spawns += 1
-            spawned.append(lane)
-        return spawned
-
-    def retire_lanes(self, keep: int) -> List[int]:
-        """Shut down every lane with index ``>= keep``.  The caller must have
-        drained them first (migrated every hosted feed away)."""
-        retired = sorted(lane for lane in self._lanes if lane >= keep)
-        for lane in retired:
-            # wait=True: the lane is drained and idle, and an unwaited
-            # shutdown races the interpreter-exit wakeup of the pool's
-            # management thread.
-            self._lanes.pop(lane).pool.shutdown(wait=True, cancel_futures=True)
-            self.meter.lane_retirements += 1
-        return retired
-
-    # -- feed lifecycle ------------------------------------------------------
-
-    def install(self, lane: int, spec: FeedSpec, frame: WireFrame) -> None:
-        """Install a main-encoded feed snapshot into ``lane`` (blocking)."""
-        if spec.preload is not None:
-            spec = replace(spec, preload=None)
-        self._lanes[lane].pool.submit(_lane_install, spec, frame).result()
-        self.meter.record_install(frame.nbytes)
-
-    def migrate(self, feed_id: str, source: int, destination: int, spec: FeedSpec) -> int:
-        """Move one feed between lanes; returns the snapshot frame's bytes.
-
-        Blocking and strictly ordered: the source's ``migrate_out`` resolves
-        (its LSM opener closed, its mirror released) before the destination's
-        install is even submitted.
-        """
-        frame = (
-            self._lanes[source].pool.submit(_lane_migrate_out, feed_id).result()
-        )
-        if spec.preload is not None:
-            spec = replace(spec, preload=None)
-        self._lanes[destination].pool.submit(_lane_install, spec, frame).result()
-        self.meter.record_migration(frame.nbytes)
-        return frame.nbytes
-
-    def teardown(self, lane: int, feed_id: str, epoch: int) -> FeedTelemetry:
-        """Evict one feed from its lane; returns its final telemetry row."""
-        return self._lanes[lane].pool.submit(_lane_teardown, feed_id, epoch).result()
-
-    # -- lockstep epochs -----------------------------------------------------
-
-    def submit_epoch(
-        self,
-        epoch: int,
-        epoch_size: int,
-        assignments: Mapping[int, Sequence[Tuple[int, Sequence[str]]]],
-        arrivals_by_lane: Mapping[int, Sequence[Tuple[str, Sequence[Operation]]]],
-    ) -> None:
-        """Queue one epoch on every assigned lane, shipping each lane its
-        ``(shard_index, feed_ids)`` list for the epoch plus its slice of the
-        boundary's arrivals (returns immediately)."""
-        participants = sorted(assignments)
-        self._participants[epoch] = participants
-        self._shard_lane = {
-            shard_index: lane
-            for lane in participants
-            for shard_index, _ in assignments[lane]
-        }
-        for lane in participants:
-            items = list(arrivals_by_lane.get(lane, ()))
-            frame = encode_lane_arrivals(WireEncoder(), items) if items else None
-            entry = self._lanes[lane]
-            entry.pending.append(
-                _PendingBatch(
-                    entry.pool.submit(
-                        _lane_elastic_epoch,
-                        epoch,
-                        epoch_size,
-                        [
-                            (shard_index, list(feed_ids))
-                            for shard_index, feed_ids in assignments[lane]
-                        ],
-                        frame,
-                    ),
-                    epoch,
-                    1,
-                )
-            )
-
-    @property
-    def lane_of(self) -> Dict[int, int]:
-        """shard index → lane, for the latest submitted epoch (span labels)."""
-        return dict(self._shard_lane)
-
-    def results(self, epoch: int) -> Tuple[List[ShardEpochResult], List[IpcSample]]:
-        """Wait for — and decode — every participating lane's frame for
-        ``epoch``, in fixed shard order (same contract as the static
-        engine's :meth:`ProcessEngine.results`)."""
-        results: List[ShardEpochResult] = []
-        samples: List[IpcSample] = []
-        for lane in self._participants.pop(epoch):
-            entry = self._lanes[lane]
-            batch = entry.pending.popleft()
-            envelopes = batch.future.result()
-            envelope: LaneEpochEnvelope = envelopes[0]
-            started = time.perf_counter()
-            frame_epoch, lane_results = decode_lane_epoch(entry.decoder, envelope.frame)
-            decode_seconds = time.perf_counter() - started
-            if frame_epoch != epoch:
-                raise WireError(
-                    f"lane {lane} frame is for epoch {frame_epoch}, expected "
-                    f"{epoch}; lane frames must be decoded in submission order"
-                )
-            samples.append(
-                IpcSample(
-                    lane=lane,
-                    epoch=epoch,
-                    wire_bytes=envelope.frame.nbytes,
-                    encode_seconds=envelope.encode_seconds,
-                    decode_seconds=decode_seconds,
-                    legacy_pickle_bytes=envelope.legacy_pickle_bytes,
                 )
             )
             results.extend(lane_results)
@@ -2376,22 +2007,20 @@ class ElasticProcessEngine:
 
     def collect(self) -> List[FeedStateResult]:
         """Fetch every live lane's final feed state (run end)."""
-        futures = [
-            self._lanes[lane].pool.submit(_lane_collect)
-            for lane in sorted(self._lanes)
-        ]
+        futures = [self._pools[lane].submit(_lane_collect) for lane in sorted(self._pools)]
         results: List[FeedStateResult] = []
         for future in futures:
             results.extend(future.result())
         return results
 
     def shutdown(self) -> None:
-        # wait=True for the same reason as the pipelined engine's shutdown:
-        # lanes are idle by now, and unwaited pools race interpreter exit.
-        for entry in self._lanes.values():
-            entry.pool.shutdown(wait=True, cancel_futures=True)
-        self._lanes = {}
-        self._participants = {}
+        # wait=True for the same reason as :meth:`retire_lanes`: lanes are
+        # idle by now, and unwaited pools race interpreter exit.
+        for pool in self._pools.values():
+            pool.shutdown(wait=True, cancel_futures=True)
+        self._pools = {}
+        self._decoders = {}
+        self._pending = {}
 
 
 def apply_feed_state(
@@ -2416,7 +2045,7 @@ def apply_feed_state(
         if state.store_reset:
             # The lane's baseline was an empty store (snapshot-installed
             # feed): the shipped delta is the whole store, so the mirror's
-            # seed state must go first — patching it would leave ghosts.
+            # own state must go first — patching it would leave ghosts.
             _reset_store(handle.system.sp_store)
         _apply_store_delta(handle.system.sp_store, state.sp_store_state)
     handle.data_owner.trusted_root = state.do_trusted_root
@@ -2450,8 +2079,9 @@ def _reset_store(store) -> None:
 def _apply_store_delta(store, delta: dict) -> None:
     """Patch the main registry's SP store with a worker's run-end delta.
 
-    The inverse of :meth:`_LaneWorker._pack_store`: the main store starts
-    from the same seed state the worker did, so deletions, the slot-layout
+    The inverse of :meth:`_LaneWorker._pack_store`: the main store holds
+    the worker's baseline (the state the lane adopted, or empty after
+    :func:`_reset_store`), so deletions, the slot-layout
     change, the changed records and the tree patch reproduce the worker's
     final store exactly — including the records' dict order (updates replace
     in place, inserts append in the worker's op order, same as a serial run).
@@ -2488,7 +2118,7 @@ def _apply_store_delta(store, delta: dict) -> None:
         # A slot without a key was freed by a delete at some point; its leaf
         # is the tombstone digest.  The changed-record list cannot carry
         # these (no record remains), and a full-from-empty apply
-        # (``store_reset``) has no seed-time tombstones to inherit.
+        # (``store_reset``) has no baseline tombstones to inherit.
         for slot, key in enumerate(store._slots):
             if key is None:
                 leaves[slot] = TOMBSTONE_LEAF

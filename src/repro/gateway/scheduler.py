@@ -66,13 +66,11 @@ serial run — which executes the very same phase code, shared through
 :mod:`repro.gateway.executor`.  Churn processing and shard planning happen
 on the main thread between epochs, from deterministic inputs, so the
 guarantee extends to elastic runs (pinned by
-``tests/gateway/test_elastic_properties.py`` over all three backends).  A
-static process run — fixed fleet, round-robin plan, memory-backed stores —
-keeps the pinned, pipelined :class:`~repro.gateway.executor.ProcessEngine`;
-anything else (queued churn, a re-sharding gas-aware plan, LSM-backed SP
-stores) routes to the :class:`~repro.gateway.executor.ElasticProcessEngine`,
-which moves feeds between worker lanes as wire-encoded snapshot frames at
-epoch boundaries and grows/shrinks the lane pool with the plan.
+``tests/gateway/test_elastic_properties.py`` over all three backends).  In
+process mode the lane pool grows and shrinks with the plan, and feeds move
+between worker lanes as wire-encoded snapshot frames at epoch boundaries;
+lanes run many epochs per order whenever the plan cannot change (see
+:meth:`EpochScheduler._run_process`).
 
 Reads are fronted by the consumer-side :class:`~repro.gateway.cache.ReadCache`
 when one is configured: a read of a key whose verified replica the gateway has
@@ -94,10 +92,11 @@ sampled to report the runtime's own ops/sec.
 
 from __future__ import annotations
 
+import pickle
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Deque,
@@ -114,12 +113,10 @@ from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.chain.transaction import Transaction
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.types import EpochSummary, Operation, ReplicationState
-from repro.common.wire import WireEncoder
-from repro.gateway.cache import CacheStats, ReadCache
+from repro.gateway.cache import ReadCache
 from repro.gateway.executor import (
     EXECUTION_MODES,
     GATEWAY_OPERATOR,
-    ElasticProcessEngine,
     ProcessEngine,
     SettlementResult,
     ShardEnvironment,
@@ -127,7 +124,6 @@ from repro.gateway.executor import (
     build_deliver_groups,
     deliver_transaction,
     drive_shard,
-    encode_feed_snapshot,
     prepare_update_groups,
     settle_feed_epoch,
     settlement_buffer,
@@ -233,7 +229,6 @@ class EpochScheduler:
         planner: Optional[ShardPlanner] = None,
         execution_mode: str = "thread",
         obs: Optional[Observability] = None,
-        ipc_profile: bool = False,
     ) -> None:
         if num_shards <= 0:
             raise ConfigurationError("num_shards must be positive")
@@ -280,12 +275,6 @@ class EpochScheduler:
         #: into planning, gas or state, which keeps fingerprints bit-identical
         #: with it on or off, across every backend.
         self.obs = obs if obs is not None else DISABLED
-        #: Process mode only: additionally measure what each epoch's lane
-        #: results *would* cost as a generic protocol-5 pickle, so the wire
-        #: codec's byte reduction is recorded per run (``FleetTelemetry.ipc``)
-        #: rather than asserted.  Off by default — the comparison pickle is
-        #: itself the overhead the codec exists to avoid.
-        self.ipc_profile = ipc_profile
         if self.obs.enabled:
             self.registry.chain.obs = self.obs
             self.planner.obs = self.obs
@@ -401,6 +390,18 @@ class EpochScheduler:
                 "a single-feed ablation mode"
             )
 
+    @staticmethod
+    def _require_picklable(spec: FeedSpec) -> None:
+        """Process mode ships specs (preload stripped) to worker lanes; fail
+        at run start, naming the feed, instead of mid-run in a lane."""
+        try:
+            pickle.dumps(replace(spec, preload=None))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ConfigurationError(
+                f"feed {spec.feed_id!r}: process execution ships feed specs "
+                f"to worker processes, but this spec does not pickle: {exc}"
+            ) from exc
+
     def _apply_churn(
         self,
         epoch: int,
@@ -416,8 +417,29 @@ class EpochScheduler:
         workload cancelled) instead of the eviction failing on a feed that
         does not exist yet.
         """
-        due_admissions = [a for a in self._admission_queue if a.at_epoch <= epoch]
-        for admission in due_admissions:
+        self._admit_due(epoch, active, queues, fleet)
+        departing = self._due_evictions(epoch, fleet)
+        if departing:
+            # Pull any still-unrouted request events while the departing
+            # feeds' routes exist, so their cancellation is explicit and
+            # counted instead of events dangling toward a dead handle.
+            self.registry.watchdog.poll()
+        for feed_id in departing:
+            self._cancel_main_hosted(epoch, feed_id, queues, fleet)
+            self._depart(epoch, feed_id, active, queues, fleet, source)
+
+    def _admit_due(
+        self,
+        epoch: int,
+        active: List[str],
+        queues: Dict[str, Deque[Operation]],
+        fleet: FleetTelemetry,
+    ) -> List[str]:
+        """Create every due admission's feed on the main registry (preload
+        and all) with its queue, dirty set, cache shard and telemetry row;
+        returns the admitted feed ids."""
+        admitted: List[str] = []
+        for admission in [a for a in self._admission_queue if a.at_epoch <= epoch]:
             self._admission_queue.remove(admission)
             spec = admission.spec
             if spec.feed_id in fleet.feeds:
@@ -437,13 +459,14 @@ class EpochScheduler:
                 feed_id=spec.feed_id, admitted_epoch=epoch
             )
             fleet.admissions += 1
-        due_evictions = [e for e in self._eviction_queue if e.at_epoch <= epoch]
-        if due_evictions:
-            # Pull any still-unrouted request events while the departing
-            # feeds' routes exist, so their cancellation is explicit and
-            # counted instead of events dangling toward a dead handle.
-            self.registry.watchdog.poll()
-        for eviction in due_evictions:
+            admitted.append(spec.feed_id)
+        return admitted
+
+    def _due_evictions(self, epoch: int, fleet: FleetTelemetry) -> List[str]:
+        """Dequeue every due departure that can apply now and return its
+        feed id; each departing feed has a telemetry row afterwards."""
+        departing: List[str] = []
+        for eviction in [e for e in self._eviction_queue if e.at_epoch <= epoch]:
             feed_id = eviction.feed_id
             telemetry = fleet.feeds.get(feed_id)
             if (telemetry is not None and telemetry.departed) or feed_id not in self.registry:
@@ -464,26 +487,51 @@ class EpochScheduler:
             if telemetry is None:
                 # Registered but idle this run (no workload): still a real
                 # departure — it gets a (empty) final bill like any tenant.
-                telemetry = FeedTelemetry(feed_id=feed_id)
-                fleet.feeds[feed_id] = telemetry
-            handle = self.registry.get(feed_id)
-            telemetry.cancelled_requests += self.registry.watchdog.cancel_pending(handle)
-            queue = queues.pop(feed_id, None)
-            if queue is not None:
-                telemetry.cancelled_ops += len(queue)
-            if feed_id in active:
-                active.remove(feed_id)
-            telemetry.departed_epoch = epoch
-            fleet.departures += 1
-            self.planner.forget(feed_id)
-            self._dirty.pop(feed_id, None)
-            # Deregisters the watchdog route, frees the on-chain addresses and
-            # fires the removal listeners (cache shard teardown among them).
-            self.registry.remove_feed(feed_id)
-            if source is not None:
-                # A live source must cancel the tenant's outstanding requests
-                # now — their operations just left the queue for good.
-                source.evicted(epoch, feed_id)
+                fleet.feeds[feed_id] = FeedTelemetry(feed_id=feed_id)
+            departing.append(feed_id)
+        return departing
+
+    def _cancel_main_hosted(
+        self,
+        epoch: int,
+        feed_id: str,
+        queues: Dict[str, Deque[Operation]],
+        fleet: FleetTelemetry,
+    ) -> None:
+        """Cancel a departing main-hosted feed's pending requests and queued
+        operations, counted on its bill."""
+        telemetry = fleet.feeds[feed_id]
+        handle = self.registry.get(feed_id)
+        telemetry.cancelled_requests += self.registry.watchdog.cancel_pending(handle)
+        queue = queues.get(feed_id)
+        if queue is not None:
+            telemetry.cancelled_ops += len(queue)
+        telemetry.departed_epoch = epoch
+
+    def _depart(
+        self,
+        epoch: int,
+        feed_id: str,
+        active: List[str],
+        queues: Dict[str, Deque[Operation]],
+        fleet: FleetTelemetry,
+        source: Optional["RequestSource"],
+    ) -> None:
+        """Drop a departed feed from the run: queue, roster, planner history,
+        dirty set and registry entry."""
+        queues.pop(feed_id, None)
+        if feed_id in active:
+            active.remove(feed_id)
+        fleet.departures += 1
+        self.planner.forget(feed_id)
+        self._dirty.pop(feed_id, None)
+        # Deregisters the watchdog route, frees the on-chain addresses and
+        # fires the removal listeners (cache shard teardown among them).
+        self.registry.remove_feed(feed_id)
+        if source is not None:
+            # A live source must cancel the tenant's outstanding requests
+            # now — their operations just left the queue for good.
+            source.evicted(epoch, feed_id)
 
     # -- observability plumbing -----------------------------------------------
 
@@ -916,299 +964,34 @@ class EpochScheduler:
     ) -> FleetTelemetry:
         """Drive the fleet on the multicore process backend.
 
-        Feeds are pinned to long-lived worker processes by the epoch-0 shard
-        plan; each worker hosts full mirrors of its shards' feeds (built from
-        the same :class:`FeedSpec`\\ s the main registry used) and executes
-        whole epochs locally, shipping back only the per-epoch deltas — the
+        Mirrors the serial loop boundary for boundary — churn, live ingest,
+        fast-forward, per-epoch plan — but executes epochs on
+        :class:`~repro.gateway.executor.ProcessEngine` lanes.  Each lane hosts
+        full mirrors of its feeds and ships back only per-epoch deltas — the
         driving phase's execution buffer and the pre-executed settlement
-        transactions — which the main chain records in fixed shard order.
-        Output is bit-identical to the serial backend.
+        transactions — which the main chain records in fixed shard order, so
+        output is bit-identical to the serial backend.  At every boundary
+        where an epoch is ordered, :meth:`_place` deals the plan's shards
+        over the lane pool and moves each feed to its lane; an eviction of a
+        lane-hosted feed is a teardown order to its lane.
 
-        Runs the static pinning can't serve — queued churn (tenants join and
-        leave lanes mid-run), a re-sharding planner (a feed's shard, hence
-        its lane, moves between epochs), or LSM-backed SP stores (a feed's
-        directory must follow it between processes) — route to
-        :meth:`_run_process_elastic`, where feeds migrate between lanes as
-        snapshot frames.
-
-        With a live ``source`` the run is **lockstep** instead of pipelined:
-        an epoch's arrivals must reach each lane's worker-local queues before
-        that lane drives the epoch, so the scheduler ships one epoch order at
-        a time with the boundary's arrivals wire-packed alongside it
-        (:meth:`ProcessEngine.submit_live_epoch`).  Determinism over
-        pipelining — the batch path keeps its submit-ahead throughput.
+        Orders **submit ahead** when the plan cannot change — a
+        :class:`~repro.gateway.planner.RoundRobinPlanner` over a fleet that
+        neither churn nor a live source can alter: one order covers every
+        epoch the remaining workloads guarantee, and lanes run them
+        back-to-back while the main process merges behind them.  Otherwise
+        orders are **lockstep**, one epoch each: the next plan consumes this
+        epoch's settled gas, and a live epoch's arrivals cannot exist before
+        the previous epoch settled.  Either way the planner and a live source
+        observe byte-identical sequences to serial.
         """
         queues, epoch_size, active, fleet = self._prepare_run(
             workloads, source=source
         )
-        if (
-            self.pending_churn
-            or not isinstance(self.planner, RoundRobinPlanner)
-            or any(
-                self.registry.get(feed_id).spec.store_backend != "memory"
-                for feed_id in active
-            )
-        ):
-            return self._run_process_elastic(
-                queues, epoch_size, active, fleet, source=source
-            )
-        chain = self.registry.chain
-        blocks_before = chain.height
-        wall_start = time.perf_counter()
-
-        # The plan is computed once and reused every epoch: round-robin over
-        # a static fleet is per-epoch stable, so this matches what the serial
-        # run's per-epoch plan() calls would produce.
-        shard_plan = self.planner.plan(
-            active, block_gas_limit=chain.parameters.block_gas_limit
-        )
-        engine = ProcessEngine(self.num_workers, ipc_profile=self.ipc_profile)
-        if source is not None:
-            return self._run_process_live(
-                engine,
-                source,
-                queues,
-                epoch_size,
-                active,
-                fleet,
-                shard_plan,
-                blocks_before,
-                wall_start,
-            )
-        remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
-
-        def guaranteed_epochs() -> int:
-            """How many more epochs are certain to run, from the remaining
-            workload counts alone.  A feed with ``r`` queued operations needs
-            at least ``ceil(r / epoch_size)`` more epochs — quotas and gas
-            caps can only *reduce* per-epoch consumption, never raise it, so
-            this is a lower bound the scheduler may safely submit ahead."""
-            return max(
-                (-(-count // epoch_size) for count in remaining.values() if count),
-                default=0,
-            )
-
-        # Pipelined run: keep every lane's queue primed with all epochs the
-        # remaining workloads guarantee, and merge results behind the lanes.
-        # After each merge the bound can shrink by at most one (the epoch just
-        # merged), so ``target`` never drops below what is already submitted
-        # — every submitted epoch is merged, and the loop ends with
-        # ``submitted == merged`` (no orphaned lane work).
-        submitted = 0
-        merged = 0
-        target = guaranteed_epochs()
-        try:
-            engine.start(
-                self.registry,
-                shard_plan,
-                queues,
-                cache_enabled=self.cache is not None,
-                cache_capacity=self.cache.capacity if self.cache is not None else None,
-                obs_enabled=self.obs.enabled,
-            )
-            with self.obs.span("run", mode="process"):
-                while merged < target:
-                    if submitted < target:
-                        engine.submit_epochs(submitted, target - submitted, epoch_size)
-                        submitted = target
-                    fleet.rosters.append((merged, sorted(active)))
-                    fleet.shards_per_epoch.append(len(shard_plan))
-                    self._merge_lane_epoch(engine, merged, fleet, remaining)
-                    merged += 1
-                    target = merged + guaranteed_epochs()
-            # Run over: pull every worker's final feed state back into the
-            # main registry's mirrors, so post-run inspection (contract
-            # storage, roots, reports, cache) sees serial-identical state.
-            for state in engine.collect():
-                apply_feed_state(self.registry, self.cache, state)
-                fleet.feeds[state.feed_id] = state.telemetry
-        finally:
-            engine.shutdown()
-
-        fleet.wall_seconds = time.perf_counter() - wall_start
-        fleet.epochs_run = merged
-        fleet.blocks_mined = chain.height - blocks_before
-        fleet.ipc = engine.meter.summary()
-        self.epochs_run += merged
-        return fleet
-
-    def _merge_lane_epoch(
-        self,
-        engine,
-        epoch: int,
-        fleet: FleetTelemetry,
-        remaining: Dict[str, int],
-    ) -> List:
-        """Merge one submitted epoch's lane results into the main chain.
-
-        Deterministic merge, mirroring the serial phase order: every shard's
-        drive buffer (events stamped at this epoch's starting height), then
-        one recorded block per shard deliver, then one per shard update — all
-        in fixed shard order.  The lanes' per-shard phase spans graft under
-        this epoch in fixed shard order, before the merge span, so the trace
-        tree reads in canonical phase order.  ``remaining`` is updated with
-        the lanes' post-epoch queue depths (run termination, and the live
-        path's executed-count attribution).  Returns the decoded shard
-        results in shard order (the elastic path reads each shard's settled
-        per-feed gas off them; either engine flavour works).
-        """
-        chain = self.registry.chain
-        with self.obs.span("epoch", epoch=epoch) as epoch_span:
-            results, samples = engine.results(epoch)
-            self._graft_lane_spans(epoch_span, results, engine)
-            with self.obs.phase("merge", epoch=epoch):
-                height = chain.height
-                for result in results:
-                    chain.absorb_wire(result.drive, height)
-                for result in results:
-                    if result.deliver is not None:
-                        self._record_settlement(result.deliver, fleet)
-                for result in results:
-                    if result.update is not None:
-                        self._record_settlement(result.update, fleet)
-        self._observe_ipc(samples)
-        for result in results:
-            remaining.update(result.remaining)
-        return results
-
-    def _run_process_live(
-        self,
-        engine: ProcessEngine,
-        source: "RequestSource",
-        queues: Dict[str, Deque[Operation]],
-        epoch_size: int,
-        active: List[str],
-        fleet: FleetTelemetry,
-        shard_plan: List[List[str]],
-        blocks_before: int,
-        wall_start: float,
-    ) -> FleetTelemetry:
-        """The live (lockstep) half of the process backend.
-
-        Mirrors the serial live loop epoch for epoch: poll the source at each
-        boundary (blocking when the fleet is idle but the door is open), ship
-        the boundary's arrivals to the lanes with the epoch order itself,
-        merge the epoch exactly as the batch path does, then fire the per-feed
-        ``settled`` callbacks.  Executed counts come from the lanes' reported
-        queue-depth deltas and gas attribution from the main ledger's
-        per-feed scope totals around the merge — both bit-identical to what
-        the serial path's ``settle_feed_epoch`` observes, because the merge
-        replays the lanes' exact gas deltas in the same order.
-        """
-        chain = self.registry.chain
-        ledger = chain.ledger
-        remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
-        epoch = 0
-        try:
-            engine.start(
-                self.registry,
-                shard_plan,
-                queues,
-                cache_enabled=self.cache is not None,
-                cache_capacity=self.cache.capacity if self.cache is not None else None,
-                obs_enabled=self.obs.enabled,
-            )
-            with self.obs.span("run", mode="process"):
-                while True:
-                    idle = not any(remaining.values())
-                    arrivals = self._absorb_arrivals(
-                        source.poll(epoch, wait=idle), remaining
-                    )
-                    has_work = any(remaining.values())
-                    if not has_work:
-                        if source.exhausted:
-                            break
-                        # Idle but open: jump to the earliest scheduled
-                        # arrival (the serial loop's fast-forward).
-                        scheduled = source.next_epoch(epoch)
-                        epoch = (
-                            max(epoch + 1, scheduled)
-                            if scheduled is not None
-                            else epoch + 1
-                        )
-                        continue
-                    queued_before = dict(remaining)
-                    gas_before = {
-                        feed_id: (
-                            ledger.scope_total(feed_id, LAYER_FEED)
-                            + ledger.scope_total(feed_id, LAYER_APPLICATION)
-                        )
-                        for feed_id in active
-                    }
-                    fleet.rosters.append((epoch, sorted(active)))
-                    fleet.shards_per_epoch.append(len(shard_plan))
-                    engine.submit_live_epoch(epoch, epoch_size, arrivals)
-                    self._merge_lane_epoch(engine, epoch, fleet, remaining)
-                    for feed_id in active:
-                        executed = queued_before[feed_id] - remaining[feed_id]
-                        planned = min(queued_before[feed_id], epoch_size)
-                        gas = (
-                            ledger.scope_total(feed_id, LAYER_FEED)
-                            + ledger.scope_total(feed_id, LAYER_APPLICATION)
-                            - gas_before[feed_id]
-                        )
-                        source.settled(
-                            epoch,
-                            feed_id,
-                            executed=executed,
-                            deferred=planned - executed,
-                            gas=gas,
-                        )
-                    epoch += 1
-            for state in engine.collect():
-                apply_feed_state(self.registry, self.cache, state)
-                fleet.feeds[state.feed_id] = state.telemetry
-        finally:
-            engine.shutdown()
-            source.run_finished(fleet)
-
-        fleet.wall_seconds = time.perf_counter() - wall_start
-        fleet.epochs_run = epoch
-        fleet.blocks_mined = chain.height - blocks_before
-        fleet.ipc = engine.meter.summary()
-        self.epochs_run += epoch
-        return fleet
-
-    # -- the elastic process backend (feed migration) --------------------------
-
-    def _run_process_elastic(
-        self,
-        queues: Dict[str, Deque[Operation]],
-        epoch_size: int,
-        active: List[str],
-        fleet: FleetTelemetry,
-        source: Optional["RequestSource"] = None,
-    ) -> FleetTelemetry:
-        """The full-feature process backend: churn, gas-aware re-sharding and
-        LSM-backed stores over an elastic pool of worker lanes.
-
-        Mirrors the serial loop boundary for boundary — churn, live ingest,
-        fast-forward, per-epoch plan — but executes each epoch on
-        :class:`~repro.gateway.executor.ElasticProcessEngine` lanes.  Lanes
-        start empty; every feed reaches its lane as a wire-encoded snapshot
-        frame (:func:`~repro.gateway.executor.encode_feed_snapshot`):
-
-        * **initial placement / admission** — the main process creates the
-          feed (running its preload against the main chain, exactly like
-          serial), then serialises the mirror into the lane the plan assigns
-          and releases any exclusive LSM opener so the lane can take the
-          directory over;
-        * **re-shard migration** — when a fresh plan moves a feed to a
-          different lane, the source lane snapshots it out (closing its LSM
-          opener first) and the destination installs the frame, which passes
-          through the main process raw;
-        * **eviction** — the owning lane polls, cancels and counts exactly
-          like a serial churn boundary and returns the tenant's final bill;
-        * **elasticity** — the pool grows to the plan's lane demand
-          (``min(num_workers, shards)``) and retires drained lanes once the
-          demand shrinks.
-
-        Epochs are lockstep (the next plan depends on this epoch's settled
-        gas, shipped per feed on each shard result), so the planner and a
-        live source observe byte-identical sequences to serial.  Migration
-        traffic is metered per run (``FleetTelemetry.ipc``) and per epoch
-        (the ``migrations_per_epoch`` histogram) — never fingerprinted.
-        """
+        for feed_id in active:
+            self._require_picklable(self.registry.get(feed_id).spec)
+        for admission in self._admission_queue:
+            self._require_picklable(admission.spec)
         chain = self.registry.chain
         blocks_before = chain.height
         wall_start = time.perf_counter()
@@ -1219,16 +1002,30 @@ class EpochScheduler:
                 self.cache.ensure_shard(feed_id)
         for feed_id in active:
             self._wire_feed_obs(feed_id)
-
-        engine = ElasticProcessEngine(self.num_workers, ipc_profile=self.ipc_profile)
-        #: Feeds the main process still hosts (created, but not yet installed
-        #: into any lane): initial feeds before their first executed epoch,
-        #: and admissions awaiting their first plan.
+        # The main-side run state: what a lane forked at a boundary adopts,
+        # and what a snapshot install encodes.
+        env = ShardEnvironment(
+            registry=self.registry,
+            cache=self.cache,
+            dirty=self._dirty,
+            queues=queues,
+            feeds=fleet.feeds,
+        )
+        submit_ahead = (
+            isinstance(self.planner, RoundRobinPlanner)
+            and not self.pending_churn
+            and source is None
+        )
+        engine = ProcessEngine(self.num_workers)
+        #: Feeds the main process still hosts (created, but not yet placed in
+        #: any lane): initial feeds before their first epoch, and admissions.
         pending_install = set(active)
         #: feed id → the lane currently hosting its mirror.
         feed_lane: Dict[str, int] = {}
         remaining = {feed_id: len(queues[feed_id]) for feed_id in active}
         epoch = 0
+        #: Epochs ``epoch .. ordered-1`` are already ordered from the lanes.
+        ordered = 0
         try:
             engine.start(
                 self.registry,
@@ -1238,80 +1035,68 @@ class EpochScheduler:
             )
             with self.obs.span("run", mode="process"):
                 while True:
-                    self._apply_churn_process(
-                        epoch, active, queues, remaining, fleet,
-                        engine, pending_install, feed_lane, source,
-                    )
-                    arrivals_installed: Dict[str, Sequence[Operation]] = {}
-                    if source is not None:
-                        idle = not self.pending_churn and not any(
-                            remaining[f] for f in active
+                    if epoch == ordered:
+                        self._apply_churn_process(
+                            epoch, active, queues, remaining, fleet,
+                            engine, pending_install, feed_lane, source,
                         )
-                        arrivals_installed = self._ingest_process(
-                            source.poll(epoch, wait=idle),
-                            queues,
-                            remaining,
-                            pending_install,
+                        arrivals: Dict[str, Sequence[Operation]] = {}
+                        if source is not None:
+                            idle = not self.pending_churn and not any(
+                                remaining[f] for f in active
+                            )
+                            arrivals = self._ingest_process(
+                                source.poll(epoch, wait=idle),
+                                queues,
+                                remaining,
+                                pending_install,
+                            )
+                        has_work = any(remaining[f] for f in active)
+                        door_open = source is not None and not source.exhausted
+                        if not self.pending_churn and not has_work and not door_open:
+                            break
+                        if not has_work:
+                            # Same fast-forward as the serial loop: jump to the
+                            # next churn event or scheduled live arrival.
+                            targets = []
+                            if self.pending_churn:
+                                targets.append(self._next_churn_epoch())
+                            if door_open:
+                                scheduled = source.next_epoch(epoch)
+                                if scheduled is not None:
+                                    targets.append(scheduled)
+                            epoch = ordered = (
+                                max(epoch + 1, min(targets)) if targets else epoch + 1
+                            )
+                            continue
+                        shard_plan = self.planner.plan(
+                            active, block_gas_limit=chain.parameters.block_gas_limit
                         )
-                    has_work = any(remaining[f] for f in active)
-                    door_open = source is not None and not source.exhausted
-                    if not self.pending_churn and not has_work and not door_open:
-                        break
-                    if not has_work:
-                        # Same fast-forward as the serial loop: jump to the
-                        # next churn event or scheduled live arrival.
-                        targets = []
-                        if self.pending_churn:
-                            targets.append(self._next_churn_epoch())
-                        if door_open:
-                            scheduled = source.next_epoch(epoch)
-                            if scheduled is not None:
-                                targets.append(scheduled)
-                        epoch = (
-                            max(epoch + 1, min(targets)) if targets else epoch + 1
+                        assignments = self._place(
+                            engine, env, shard_plan, pending_install, feed_lane
                         )
-                        continue
-                    shard_plan = self.planner.plan(
-                        active, block_gas_limit=chain.parameters.block_gas_limit
-                    )
+                        arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
+                        for feed_id in sorted(arrivals):
+                            arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
+                                (feed_id, arrivals[feed_id])
+                            )
+                        count = 1
+                        if submit_ahead:
+                            # A feed with ``r`` queued operations needs at
+                            # least ``ceil(r / epoch_size)`` more epochs —
+                            # quotas and gas caps only ever reduce per-epoch
+                            # consumption — so every one of these will run.
+                            count = max(
+                                -(-queued // epoch_size)
+                                for queued in remaining.values()
+                            )
+                        engine.submit(
+                            epoch, count, epoch_size, assignments, arrivals_by_lane
+                        )
+                        ordered = epoch + count
                     fleet.rosters.append((epoch, sorted(active)))
                     fleet.shards_per_epoch.append(len(shard_plan))
-                    # Elasticity: lanes 0..desired-1 serve this epoch; spawn
-                    # what's missing now, retire the surplus once drained.
-                    desired = max(1, min(self.num_workers, len(shard_plan)))
-                    spawned = engine.ensure_lanes(desired)
-                    assignments: Dict[int, List[Tuple[int, List[str]]]] = {}
-                    migrations = 0
-                    for shard_index, shard in enumerate(shard_plan):
-                        lane = shard_index % desired
-                        assignments.setdefault(lane, []).append(
-                            (shard_index, list(shard))
-                        )
-                        for feed_id in shard:
-                            if feed_id in pending_install:
-                                self._install_feed(engine, lane, feed_id, queues, fleet)
-                                pending_install.discard(feed_id)
-                                feed_lane[feed_id] = lane
-                            elif feed_lane[feed_id] != lane:
-                                engine.migrate(
-                                    feed_id,
-                                    feed_lane[feed_id],
-                                    lane,
-                                    self.registry.get(feed_id).spec,
-                                )
-                                feed_lane[feed_id] = lane
-                                migrations += 1
-                    retired = engine.retire_lanes(desired)
-                    self._observe_migrations(len(spawned), len(retired), migrations)
-                    arrivals_by_lane: Dict[int, List[Tuple[str, Sequence[Operation]]]] = {}
-                    for feed_id in sorted(arrivals_installed):
-                        arrivals_by_lane.setdefault(feed_lane[feed_id], []).append(
-                            (feed_id, arrivals_installed[feed_id])
-                        )
                     queued_before = dict(remaining) if source is not None else None
-                    engine.submit_epoch(
-                        epoch, epoch_size, assignments, arrivals_by_lane
-                    )
                     results = self._merge_lane_epoch(engine, epoch, fleet, remaining)
                     epoch_gas: Dict[str, int] = {}
                     for result in results:
@@ -1354,6 +1139,94 @@ class EpochScheduler:
         self.epochs_run += epoch
         return fleet
 
+    def _place(
+        self,
+        engine: ProcessEngine,
+        env: ShardEnvironment,
+        shard_plan: List[List[str]],
+        pending_install: set,
+        feed_lane: Dict[str, int],
+    ) -> Dict[int, List[Tuple[int, List[str]]]]:
+        """Deal one boundary's shards over the lane pool and move every feed
+        to its lane; returns lane → ``(shard_index, feed_ids)`` assignments.
+
+        Lanes ``0..desired-1`` serve the order (``desired`` is
+        ``min(num_lanes, shards)``, shard ``i`` on lane ``i % desired``):
+        missing lanes spawn, and the surplus retires once drained.  A feed
+        the main process still hosts is placed — adopted from the fork when
+        its lane spawns here on a fork platform, otherwise installed as a
+        snapshot frame — and a lane-hosted feed whose lane changed migrates.
+        """
+        desired = max(1, min(engine.num_lanes, len(shard_plan)))
+        assignments: Dict[int, List[Tuple[int, List[str]]]] = {
+            lane: [] for lane in range(desired)
+        }
+        target: Dict[str, int] = {}
+        for shard_index, shard in enumerate(shard_plan):
+            lane = shard_index % desired
+            assignments[lane].append((shard_index, list(shard)))
+            for feed_id in shard:
+                target[feed_id] = lane
+        pending: Dict[int, List[str]] = {}
+        for feed_id, lane in target.items():
+            if feed_id in pending_install:
+                pending.setdefault(lane, []).append(feed_id)
+        spawned, adopted = engine.ensure_lanes(desired, env, pending)
+        migrations = 0
+        for feed_id, lane in target.items():
+            if feed_id in pending_install:
+                pending_install.discard(feed_id)
+                if feed_id not in adopted:
+                    engine.install(lane, feed_id, env)
+            elif feed_lane[feed_id] != lane:
+                engine.migrate(
+                    feed_id, feed_lane[feed_id], lane, self.registry.get(feed_id).spec
+                )
+                migrations += 1
+            feed_lane[feed_id] = lane
+        retired = engine.retire_lanes(desired)
+        self._observe_migrations(len(spawned), len(retired), migrations)
+        return assignments
+
+    def _merge_lane_epoch(
+        self,
+        engine: ProcessEngine,
+        epoch: int,
+        fleet: FleetTelemetry,
+        remaining: Dict[str, int],
+    ) -> List:
+        """Merge one submitted epoch's lane results into the main chain.
+
+        Deterministic merge, mirroring the serial phase order: every shard's
+        drive buffer (events stamped at this epoch's starting height), then
+        one recorded block per shard deliver, then one per shard update — all
+        in fixed shard order.  The lanes' per-shard phase spans graft under
+        this epoch in fixed shard order, before the merge span, so the trace
+        tree reads in canonical phase order.  ``remaining`` is updated with
+        the lanes' post-epoch queue depths (run termination, and the live
+        path's executed-count attribution).  Returns the decoded shard
+        results in shard order (the caller reads each shard's settled
+        per-feed gas off them).
+        """
+        chain = self.registry.chain
+        with self.obs.span("epoch", epoch=epoch) as epoch_span:
+            results, samples = engine.results(epoch)
+            self._graft_lane_spans(epoch_span, results, engine)
+            with self.obs.phase("merge", epoch=epoch):
+                height = chain.height
+                for result in results:
+                    chain.absorb_wire(result.drive, height)
+                for result in results:
+                    if result.deliver is not None:
+                        self._record_settlement(result.deliver, fleet)
+                for result in results:
+                    if result.update is not None:
+                        self._record_settlement(result.update, fleet)
+        self._observe_ipc(samples)
+        for result in results:
+            remaining.update(result.remaining)
+        return results
+
     def _apply_churn_process(
         self,
         epoch: int,
@@ -1361,7 +1234,7 @@ class EpochScheduler:
         queues: Dict[str, Deque[Operation]],
         remaining: Dict[str, int],
         fleet: FleetTelemetry,
-        engine: ElasticProcessEngine,
+        engine: ProcessEngine,
         pending_install: set,
         feed_lane: Dict[str, int],
         source: Optional["RequestSource"] = None,
@@ -1378,87 +1251,23 @@ class EpochScheduler:
         and consumed inside the lanes, so a main poll would stuff main-side
         mirrors with requests that can never be delivered.
         """
-        due_admissions = [a for a in self._admission_queue if a.at_epoch <= epoch]
-        for admission in due_admissions:
-            self._admission_queue.remove(admission)
-            spec = admission.spec
-            if spec.feed_id in fleet.feeds:
-                raise ConfigurationError(
-                    f"feed id {spec.feed_id!r} was already hosted in this run; "
-                    "ids are unique per run (reuse is allowed across runs)"
-                )
-            self._require_batch_deliver(spec)
-            self.registry.create_feed(spec)
-            self._wire_feed_obs(spec.feed_id)
-            queues[spec.feed_id] = deque(admission.operations)
-            remaining[spec.feed_id] = len(admission.operations)
-            active.append(spec.feed_id)
-            self._dirty[spec.feed_id] = set()
-            if self.cache is not None:
-                self.cache.ensure_shard(spec.feed_id)
-            fleet.feeds[spec.feed_id] = FeedTelemetry(
-                feed_id=spec.feed_id, admitted_epoch=epoch
-            )
-            fleet.admissions += 1
-            pending_install.add(spec.feed_id)
-        due_evictions = [e for e in self._eviction_queue if e.at_epoch <= epoch]
-        for eviction in due_evictions:
-            feed_id = eviction.feed_id
-            telemetry = fleet.feeds.get(feed_id)
-            if (telemetry is not None and telemetry.departed) or feed_id not in self.registry:
-                if any(a.spec.feed_id == feed_id for a in self._admission_queue):
-                    # The eviction outran its feed's admission; leave it
-                    # queued — it fires the boundary the feed arrives.
-                    continue
-                raise ConfigurationError(
-                    f"cannot evict {feed_id!r}: "
-                    + (
-                        "the feed already departed this run"
-                        if telemetry is not None and telemetry.departed
-                        else "not hosted by the gateway"
-                    )
-                )
-            self._eviction_queue.remove(eviction)
-            if telemetry is None:
-                # Registered but idle this run (no workload): still a real
-                # departure — it gets a (empty) final bill like any tenant.
-                telemetry = FeedTelemetry(feed_id=feed_id)
-                fleet.feeds[feed_id] = telemetry
+        for feed_id in self._admit_due(epoch, active, queues, fleet):
+            remaining[feed_id] = len(queues[feed_id])
+            pending_install.add(feed_id)
+        for feed_id in self._due_evictions(epoch, fleet):
             if feed_id in feed_lane:
-                # Lane-hosted: the lane owns the live mirror — its boundary
-                # poll, request cancellation and queue counting happen there,
-                # and the returned row is the tenant's final bill.
+                # Lane-hosted: the lane owns the live mirror, and the returned
+                # row is the tenant's final bill.
                 fleet.feeds[feed_id] = engine.teardown(
                     feed_lane.pop(feed_id), feed_id, epoch
                 )
             else:
                 # Still main-hosted (admitted this very boundary, or never
-                # ran an epoch): serial accounting on the main structures.
-                # ``cancel_pending`` needs no poll first — the main chain's
-                # absorbed events were consumed inside the lanes already.
-                handle = self.registry.get(feed_id)
-                telemetry.cancelled_requests += self.registry.watchdog.cancel_pending(
-                    handle
-                )
-                queue = queues.get(feed_id)
-                if queue:
-                    telemetry.cancelled_ops += len(queue)
-                telemetry.departed_epoch = epoch
+                # ran an epoch).
+                self._cancel_main_hosted(epoch, feed_id, queues, fleet)
                 pending_install.discard(feed_id)
-            queues.pop(feed_id, None)
             remaining.pop(feed_id, None)
-            if feed_id in active:
-                active.remove(feed_id)
-            fleet.departures += 1
-            self.planner.forget(feed_id)
-            self._dirty.pop(feed_id, None)
-            # Deregisters the watchdog route, frees the on-chain addresses and
-            # fires the removal listeners (cache shard teardown among them).
-            self.registry.remove_feed(feed_id)
-            if source is not None:
-                # A live source must cancel the tenant's outstanding requests
-                # now — their operations just left the queue for good.
-                source.evicted(epoch, feed_id)
+            self._depart(epoch, feed_id, active, queues, fleet, source)
 
     def _ingest_process(
         self,
@@ -1467,12 +1276,12 @@ class EpochScheduler:
         remaining: Dict[str, int],
         pending_install: set,
     ) -> Dict[str, Sequence[Operation]]:
-        """Fold one boundary's live arrivals into the elastic fleet.
+        """Fold one boundary's live arrivals into the process-mode fleet.
 
         A feed the main process still hosts takes them straight onto its
-        queue (they ship inside its install snapshot); a lane-hosted feed's
-        arrivals are returned for shipping alongside the epoch order — the
-        elastic counterpart of :meth:`_ingest` / :meth:`_absorb_arrivals`.
+        queue (they reach its lane with the feed itself); a lane-hosted
+        feed's arrivals are returned for shipping alongside the epoch order —
+        the process-mode counterpart of :meth:`_ingest`.
         """
         shipped: Dict[str, Sequence[Operation]] = {}
         for feed_id in sorted(arrivals):
@@ -1492,43 +1301,6 @@ class EpochScheduler:
                 shipped[feed_id] = operations
         return shipped
 
-    def _install_feed(
-        self,
-        engine: ElasticProcessEngine,
-        lane: int,
-        feed_id: str,
-        queues: Dict[str, Deque[Operation]],
-        fleet: FleetTelemetry,
-    ) -> None:
-        """Ship a main-hosted feed's mirror into ``lane`` as a snapshot frame.
-
-        The main mirror stays registered (the merge path records settlements
-        against its addresses), but its queue empties — the lane's copy is
-        the live one now — and an exclusive LSM opener is released so the
-        lane can take over the directory (single-opener rule).
-        """
-        handle = self.registry.get(feed_id)
-        if self.cache is not None:
-            shard_obj = self.cache._shards.get(feed_id)
-            entries = tuple(shard_obj.entries.items()) if shard_obj else ()
-            stats = shard_obj.stats if shard_obj else CacheStats()
-        else:
-            entries, stats = (), None
-        frame = encode_feed_snapshot(
-            WireEncoder(),
-            handle,
-            queue=queues[feed_id],
-            dirty=self._dirty[feed_id],
-            telemetry=fleet.feeds[feed_id],
-            cache_entries=entries,
-            cache_stats=stats,
-        )
-        backing = handle.system.sp_store.backing
-        if isinstance(backing, LSMStore):
-            backing.close()
-        engine.install(lane, handle.spec, frame)
-        queues[feed_id].clear()
-
     #: Migration-count histogram bounds (counts, not latencies).
     _MIGRATION_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -1545,30 +1317,6 @@ class EpochScheduler:
             self.obs.counter("lane_spawns_total").inc(spawned)
         if retired:
             self.obs.counter("lane_retirements_total").inc(retired)
-
-    def _absorb_arrivals(
-        self,
-        arrivals: Mapping[str, Sequence[Operation]],
-        remaining: Dict[str, int],
-    ) -> Dict[str, Sequence[Operation]]:
-        """Validate one boundary's live arrivals against the hosted fleet and
-        fold their counts into the main-side queue-depth mirror, returning
-        the normalized map to ship to the lanes (the process-mode counterpart
-        of :meth:`_ingest` — the operations themselves live in the lanes)."""
-        shipped: Dict[str, Sequence[Operation]] = {}
-        for feed_id in sorted(arrivals):
-            operations = arrivals[feed_id]
-            if not operations:
-                continue
-            if feed_id not in remaining:
-                raise ConfigurationError(
-                    f"live request for feed {feed_id!r}, which the gateway "
-                    "does not currently host — the request source must "
-                    "reject unknown or departed tenants at admission"
-                )
-            remaining[feed_id] += len(operations)
-            shipped[feed_id] = operations
-        return shipped
 
     #: Byte-count histograms need byte-scaled buckets — the default log
     #: buckets are seconds-oriented (10µs–40s).  64 B–128 MB, doubling.

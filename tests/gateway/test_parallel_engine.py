@@ -12,6 +12,8 @@ worker processes and whose results are spliced back in shard order.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.chain.chain import ChainParameters
@@ -19,7 +21,11 @@ from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
 from repro.core.config import GrubConfig
+from repro.core.data_consumer import DataConsumerContract
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
+from repro.gateway import executor
+from repro.gateway.executor import ProcessEngine
+from repro.gateway.scheduler import RequestSource
 from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -105,7 +111,6 @@ def run_fleet(
     num_shards: int = 4,
     execution_mode: str = "thread",
     with_obs: bool = False,
-    ipc_profile: bool = False,
 ):
     registry, workloads = build_mixed_fleet()
     scheduler = EpochScheduler(
@@ -114,10 +119,52 @@ def run_fleet(
         num_workers=num_workers,
         execution_mode=execution_mode,
         obs=Observability() if with_obs else None,
-        ipc_profile=ipc_profile,
     )
     fleet = scheduler.run(workloads)
     return fleet, registry
+
+
+class _ScriptedSource(RequestSource):
+    """A live source that hands over one batch of arrivals at epoch 0."""
+
+    def __init__(self, arrivals):
+        self._arrivals = arrivals
+        self._sent = False
+
+    def poll(self, epoch, *, wait):
+        if self._sent:
+            return {}
+        self._sent = True
+        return self._arrivals
+
+    @property
+    def exhausted(self):
+        return self._sent
+
+    def next_epoch(self, after):
+        return None
+
+    def settled(self, epoch, feed_id, *, executed, deferred, gas):
+        pass
+
+    def run_finished(self, fleet):
+        pass
+
+
+@pytest.fixture
+def lane_orders(monkeypatch):
+    """The epoch count of every order the process engine hands a lane,
+    spied where the order crosses to the lane's pool."""
+    counts = []
+    submit = ProcessPoolExecutor.submit
+
+    def spy(pool, fn, /, *args, **kwargs):
+        if fn is executor._lane_epochs:
+            counts.append(args[1])
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    return counts
 
 
 class TestParallelSerialEquivalence:
@@ -269,7 +316,7 @@ class TestExecutionModeEquivalence:
 
 class TestWireCodecEquivalence:
     """The compact wire boundary must be invisible in every output —
-    with and without observability attached, in both seed modes."""
+    with and without observability attached, by either placement route."""
 
     def test_three_modes_bit_identical_with_obs_enabled(self):
         serial_fleet, serial_registry = run_fleet(
@@ -298,33 +345,34 @@ class TestWireCodecEquivalence:
             quiet_registry
         )
 
-    def test_wire_seed_mode_bit_identical_to_serial(self, monkeypatch):
-        """Force the explicit wire seed path (fork inheritance is the Linux
-        default, so without the override it never runs here)."""
+    def test_frame_placement_matches_serial(self, monkeypatch):
+        """Force initial placement by snapshot frames (on a fork platform
+        lanes would otherwise adopt their feeds from the fork, so without
+        the override the frame path only runs for admissions)."""
         serial_fleet, serial_registry = run_fleet(1, execution_mode="serial")
-        monkeypatch.setenv("GRUB_PROCESS_SEED", "wire")
+        monkeypatch.setattr(ProcessEngine, "fork_placement", staticmethod(lambda: False))
         process_fleet, process_registry = run_fleet(2, execution_mode="process")
+        assert process_fleet.ipc["installs_total"] > 0
         assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        for feed_id in serial_fleet.feeds:
+            for layer in (LAYER_FEED, LAYER_APPLICATION):
+                assert process_registry.chain.ledger.scope_total(
+                    feed_id, layer
+                ) == serial_registry.chain.ledger.scope_total(feed_id, layer)
         assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
             serial_registry
         )
 
     def test_ipc_meter_reports_traffic_and_stays_out_of_fingerprint(self):
-        quiet_fleet, _ = run_fleet(2, execution_mode="process")
-        profiled_fleet, _ = run_fleet(
-            2, execution_mode="process", ipc_profile=True
-        )
-        assert profiled_fleet.fingerprint() == quiet_fleet.fingerprint()
-        for summary in (quiet_fleet.ipc, profiled_fleet.ipc):
-            assert summary is not None
-            assert summary["wire_bytes_total"] > 0
-            assert summary["bytes_per_epoch"] > 0
-            assert summary["epochs"] > 0
-        # profiling adds the pickle comparison; the plain run omits it
-        assert "reduction_vs_pickle" not in quiet_fleet.ipc
-        assert 0.0 < profiled_fleet.ipc["reduction_vs_pickle"] < 1.0
-        # serial runs have no process boundary, hence no IPC record
         serial_fleet, _ = run_fleet(1, execution_mode="serial")
+        process_fleet, _ = run_fleet(2, execution_mode="process")
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        summary = process_fleet.ipc
+        assert summary is not None
+        assert summary["wire_bytes_total"] > 0
+        assert summary["bytes_per_epoch"] > 0
+        assert summary["epochs"] > 0
+        # serial runs have no process boundary, hence no IPC record
         assert serial_fleet.ipc is None
 
 
@@ -439,6 +487,109 @@ class TestProcessModeConstraints:
         backing = process_store.backing
         for record in process_store.records():
             assert backing.get(record.prefixed_key) == record.value
+
+
+    def _run_with_late_lane(self, execution_mode, num_workers, directory):
+        """One resident feed (one shard, one lane) until an LSM-backed,
+        preloaded tenant joins at epoch 2 and widens the plan to two shards
+        — so the second lane spawns mid-run with the newcomer assigned."""
+        registry = FeedRegistry()
+        registry.create_feed(FeedSpec(feed_id="resident", config=GrubConfig(epoch_size=8)))
+        scheduler = EpochScheduler(
+            registry,
+            num_shards=2,
+            num_workers=num_workers,
+            execution_mode=execution_mode,
+        )
+        scheduler.admit(
+            FeedSpec(
+                feed_id="late",
+                config=GrubConfig(epoch_size=8, algorithm="memoryless", k=1),
+                preload=[KVRecord.make(f"key-{i:02d}", bytes(32)) for i in range(8)],
+                store_backend="lsm",
+                store_directory=directory,
+            ),
+            SyntheticWorkload(
+                read_write_ratio=2.0,
+                num_operations=32,
+                num_keys=8,
+                key_prefix="key-",
+                seed=5,
+            ).operations(),
+            at_epoch=2,
+        )
+        fleet = scheduler.run({"resident": [Operation.read("k")] * 48})
+        return fleet, registry
+
+    def test_lane_spawned_mid_run_takes_over_admitted_feed(self, tmp_path):
+        """On a fork platform the new lane adopts the admitted feed from its
+        fork (the main process closes the feed's LSM opener first); on any
+        other platform the feed arrives as a snapshot frame."""
+        serial_fleet, serial_registry = self._run_with_late_lane(
+            "serial", 1, tmp_path / "serial"
+        )
+        process_fleet, process_registry = self._run_with_late_lane(
+            "process", 2, tmp_path / "process"
+        )
+        assert process_fleet.ipc["lane_spawns_total"] == 2
+        expected_installs = 0 if ProcessEngine.fork_placement() else 2
+        assert process_fleet.ipc["installs_total"] == expected_installs
+        assert process_fleet.fingerprint() == serial_fleet.fingerprint()
+        assert chain_state_fingerprint(process_registry) == chain_state_fingerprint(
+            serial_registry
+        )
+        store = process_registry.get("late").system.sp_store
+        assert store.root == serial_registry.get("late").system.sp_store.root
+        for record in store.records():
+            assert store.backing.get(record.prefixed_key) == record.value
+
+    @pytest.mark.parametrize("churn", [False, True])
+    def test_unpicklable_spec_rejected_at_run_start(self, churn):
+        """A spec whose consumer factory cannot cross to a worker process
+        fails the same way whether it is an initial feed or a queued
+        admission, and whatever route would have placed it."""
+        registry, workloads = build_mixed_fleet()
+        spec = FeedSpec(
+            feed_id="closure",
+            config=GrubConfig(epoch_size=8),
+            consumer_factory=lambda address: DataConsumerContract(
+                "closure-consumer", address
+            ),
+        )
+        scheduler = EpochScheduler(
+            registry, num_shards=4, num_workers=2, execution_mode="process"
+        )
+        if churn:
+            scheduler.admit(spec, [Operation.read("k")] * 4, at_epoch=1)
+        else:
+            registry.create_feed(spec)
+            workloads["closure"] = [Operation.read("k")] * 4
+        with pytest.raises(ConfigurationError, match="'closure'"):
+            scheduler.run(workloads)
+
+    # Submit-ahead is kept where the plan cannot change, and only there.
+
+    def test_static_round_robin_run_orders_many_epochs_at_once(self, lane_orders):
+        run_fleet(2, execution_mode="process")
+        assert max(lane_orders) > 1
+
+    def test_churn_run_orders_one_epoch_at_a_time(self, lane_orders):
+        self._run_with_churn("process", 2)
+        assert lane_orders and set(lane_orders) == {1}
+
+    def test_gas_aware_run_orders_one_epoch_at_a_time(self, lane_orders):
+        self._run_with_gas_aware_planner("process", 3)
+        assert lane_orders and set(lane_orders) == {1}
+
+    def test_live_run_orders_one_epoch_at_a_time(self, lane_orders):
+        serial_fleet, _ = run_fleet(1, execution_mode="serial")
+        registry, workloads = build_mixed_fleet()
+        scheduler = EpochScheduler(
+            registry, num_shards=4, num_workers=2, execution_mode="process"
+        )
+        live_fleet = scheduler.run(source=_ScriptedSource(workloads))
+        assert lane_orders and set(lane_orders) == {1}
+        assert live_fleet.fingerprint() == serial_fleet.fingerprint()
 
 
 class TestDeliverCacheWarmUp:
