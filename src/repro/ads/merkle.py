@@ -2,9 +2,13 @@
 
 The tree is the binary-Merkle construction the paper uses for its ADS
 (Figure 4b): leaves hold record hashes, interior nodes hash the concatenation
-of their children.  Proof verification is written as pure functions so the
-storage-manager contract can call them while charging hash gas per node
-through its meter, and off-chain parties can call them for free.
+of their children.  An authentication path is a flat tuple of sibling
+digests, leaf level first; which side each sibling sits on is read from the
+bits of the proof's ``leaf_index`` (bit ``d`` set: the path node at depth
+``d`` is a right child), so a proof verifies only at the position it was
+issued for.  Proof verification is written as pure functions so the
+storage-manager contract can call them while charging the path's hash gas
+through its meter in one call, and off-chain parties can call them for free.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ def _hash_pair_memo(left: bytes, right: bytes) -> bytes:
     Correctness does not depend on the memo: entries never go stale because
     the digest of a pair is immutable, so eviction (or clearing) only costs
     recomputation.  Gas accounting is untouched — callers charge per hash
-    *application*, not per SHA-256 actually executed, exactly as an on-chain
-    verifier would charge for every step of the path walk.
+    *application* (every step of the path walk, as an on-chain verifier
+    would), not per SHA-256 actually executed.
     """
     return hash_pair(left, right)
 
@@ -42,25 +46,20 @@ def clear_pair_memo() -> None:
     _hash_pair_memo.cache_clear()
 
 
-@dataclass(frozen=True)
-class ProofNode:
-    """One sibling digest on an authentication path.
-
-    ``is_left`` records whether the sibling sits to the left of the path node,
-    which determines the concatenation order when recomputing the parent.
-    """
-
-    digest: bytes
-    is_left: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleProof:
-    """Authentication path proving that a leaf is at ``leaf_index``."""
+    """Authentication path proving that a leaf is at ``leaf_index``.
+
+    ``path`` holds the sibling digests from the leaf level up to (excluding)
+    the root.  Sides are not stored: bit ``d`` of ``leaf_index`` says whether
+    the path node at depth ``d`` is a right child (its sibling hashes on the
+    left), so relabelling a proof with another index changes the root it
+    recomputes.
+    """
 
     leaf_index: int
     leaf_count: int
-    path: Tuple[ProofNode, ...]
+    path: Tuple[bytes, ...]
 
     @property
     def num_nodes(self) -> int:
@@ -90,6 +89,19 @@ class RangeProof:
     @property
     def size_words(self) -> int:
         return len(self.leaf_hashes) + sum(p.size_words for p in self.boundary_proofs)
+
+
+def _sibling_path(levels: Sequence[List[bytes]], index: int) -> Tuple[bytes, ...]:
+    """The sibling digests of leaf ``index``, leaf level first.
+
+    ``levels`` excludes the root level; every level below the root is padded
+    to an even length, so the sibling ``index ^ 1`` always exists.
+    """
+    path = []
+    for level in levels:
+        path.append(level[index ^ 1])
+        index >>= 1
+    return tuple(path)
 
 
 class MerkleTree:
@@ -152,55 +164,32 @@ class MerkleTree:
         """Produce the authentication path for the leaf at ``index``."""
         if not 0 <= index < len(self._leaves):
             raise IndexError(f"leaf index {index} out of range")
-        path: List[ProofNode] = []
-        position = index
-        for level in self._levels[:-1]:
-            sibling_index = position ^ 1
-            sibling = level[sibling_index] if sibling_index < len(level) else EMPTY_DIGEST
-            path.append(ProofNode(digest=sibling, is_left=sibling_index < position))
-            position //= 2
         return MerkleProof(
-            leaf_index=index, leaf_count=len(self._leaves), path=tuple(path)
+            leaf_index=index,
+            leaf_count=len(self._leaves),
+            path=_sibling_path(self._levels[:-1], index),
         )
 
     def prove_many(self, indices: Sequence[int]) -> Dict[int, MerkleProof]:
-        """Authentication paths for several leaves in one tree pass.
+        """Authentication paths for several leaves (a deliver batch), keyed by
+        index; duplicate indices yield one proof.
 
-        Batched proof generation for a deliver batch: the level lists are
-        bound once and sibling :class:`ProofNode` objects are built at most
-        once per (level, position) and shared between the returned proofs —
-        requests in one epoch cluster under common subtrees, so neighbouring
-        proofs reuse most of their upper path nodes.  Each returned proof is
-        identical to what :meth:`prove` would produce for the same index.
+        Each returned proof is identical to what :meth:`prove` would produce.
+        Paths hold the tree's own digest objects, so proofs that share a
+        subtree share their upper siblings without copying them.
         """
         levels = self._levels[:-1]
         leaf_count = len(self._leaves)
-        shared_nodes: Dict[Tuple[int, int], ProofNode] = {}
         proofs: Dict[int, MerkleProof] = {}
         for index in indices:
             if index in proofs:
                 continue
             if not 0 <= index < leaf_count:
                 raise IndexError(f"leaf index {index} out of range")
-            path: List[ProofNode] = []
-            position = index
-            for depth, level in enumerate(levels):
-                sibling_index = position ^ 1
-                node = shared_nodes.get((depth, sibling_index))
-                if node is None:
-                    sibling = (
-                        level[sibling_index]
-                        if sibling_index < len(level)
-                        else EMPTY_DIGEST
-                    )
-                    # A sibling's side is fixed by its parity: even positions
-                    # sit to the left of their (odd) partner.
-                    node = ProofNode(digest=sibling, is_left=sibling_index % 2 == 0)
-                    shared_nodes[(depth, sibling_index)] = node
-                path.append(node)
-                position //= 2
             proofs[index] = MerkleProof(
-                leaf_index=index, leaf_count=leaf_count, path=tuple(path)
+                leaf_index=index,
+                leaf_count=leaf_count,
+                path=_sibling_path(levels, index),
             )
         return proofs
 
@@ -334,21 +323,26 @@ class MerkleTree:
 def recompute_root_from_proof(
     leaf_hash: bytes,
     proof: MerkleProof,
-    charge_hash: Optional[Callable[[int], None]] = None,
+    charge_hash: Optional[Callable[[int, int], None]] = None,
 ) -> bytes:
     """Recompute the root implied by ``leaf_hash`` and ``proof``.
 
-    ``charge_hash`` is called once per hash computation with the input size in
-    words, letting the storage-manager contract charge hash gas.
+    Bit ``d`` of ``proof.leaf_index`` orders the concatenation at depth ``d``.
+    ``charge_hash(words, count)`` is called once, before the walk, for the
+    path's ``count`` hash computations of ``words`` words each, letting the
+    storage-manager contract charge the path's hash gas in one metered call.
     """
+    path = proof.path
+    if charge_hash is not None:
+        charge_hash(2, len(path))
     current = leaf_hash
-    for node in proof.path:
-        if charge_hash is not None:
-            charge_hash(2)
-        if node.is_left:
-            current = _hash_pair_memo(node.digest, current)
+    position = proof.leaf_index
+    for sibling in path:
+        if position & 1:
+            current = _hash_pair_memo(sibling, current)
         else:
-            current = _hash_pair_memo(current, node.digest)
+            current = _hash_pair_memo(current, sibling)
+        position >>= 1
     return current
 
 
@@ -356,16 +350,22 @@ def verify_membership(
     root: bytes,
     leaf_hash: bytes,
     proof: MerkleProof,
-    charge_hash: Optional[Callable[[int], None]] = None,
+    charge_hash: Optional[Callable[[int, int], None]] = None,
 ) -> bool:
-    """Check that ``leaf_hash`` is a member under ``root`` at ``proof.leaf_index``."""
+    """Check that ``leaf_hash`` is a member under ``root`` at ``proof.leaf_index``.
+
+    An index with bits above the path's depth names no leaf of the tree and
+    is rejected before any hashing.
+    """
+    if proof.leaf_index >> len(proof.path):
+        return False
     return recompute_root_from_proof(leaf_hash, proof, charge_hash) == root
 
 
 def verify_range(
     root: bytes,
     proof: RangeProof,
-    charge_hash: Optional[Callable[[int], None]] = None,
+    charge_hash: Optional[Callable[[int, int], None]] = None,
 ) -> bool:
     """Check a contiguous-range proof: the boundary paths must verify and the
     in-range leaf hashes must be exactly those committed at the boundary
@@ -409,7 +409,7 @@ def verify_non_membership(
     root: bytes,
     left_neighbor: Tuple[bytes, MerkleProof],
     right_neighbor: Tuple[bytes, MerkleProof],
-    charge_hash: Optional[Callable[[int], None]] = None,
+    charge_hash: Optional[Callable[[int, int], None]] = None,
 ) -> bool:
     """Check that no leaf exists between two adjacent leaves.
 

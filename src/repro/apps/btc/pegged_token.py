@@ -145,12 +145,7 @@ class PeggedTokenContract(DataConsumerContract):
         proof: SPVProof = request["proof"]
         # The header's Merkle root occupies bytes 40..72 of the serialised header.
         merkle_root = header[40:72]
-        ok = proof.verify(
-            merkle_root,
-            charge_hash=lambda words: ctx.meter.charge(
-                ctx.meter.schedule.hash_cost(words), "hash"
-            ),
-        )
+        ok = proof.verify(merkle_root, charge_hash=ctx.meter.charge_hashes)
         if not ok:
             self.rejected += 1
             self.emit(ctx, "VerificationFailed", purpose=purpose, block_height=request["block_height"])

@@ -263,6 +263,12 @@ class Blockchain:
         epoch batcher and the SP's deliver batching), so a block simply takes
         the entire pending pool; the block gas limit is checked to surface
         configuration errors rather than to split blocks.
+
+        Once executed, a transaction's decoded ``args`` are released: its
+        receipt keeps the header (sender, contract, function, scopes,
+        calldata size, txid) — the same stub :meth:`mine_recorded_block`
+        records — so settled payloads such as Merkle proofs are not pinned
+        by the chain's history.
         """
         obs = self.obs
         started = obs.tracer.clock() if obs is not None else 0.0
@@ -276,6 +282,7 @@ class Blockchain:
         transactions, self.pending = self.pending, []
         for index, transaction in enumerate(transactions):
             receipt = self._execute(transaction, block.number, index)
+            transaction.args = {}
             block.receipts.append(receipt)
             self.receipts[transaction.txid] = receipt
             for event in receipt.events:
@@ -317,15 +324,6 @@ class Blockchain:
         The pending pool must be empty: mixing locally queued transactions
         into a recorded block would execute them against state the worker
         already advanced past.
-
-        One documented divergence from locally executed settlement: the
-        recorded receipt's ``transaction.args`` is whatever the caller put on
-        the transaction stub (the process backend passes ``{}`` — the group
-        payloads, with their Merkle proofs, stay in the worker that executed
-        them).  The per-feed scope weights and calldata size *are* carried,
-        so gas attribution and receipts' outcomes match exactly; only the
-        argument payload of the receipt's transaction object differs from a
-        serial run.
         """
         if self.pending:
             raise ReproError(

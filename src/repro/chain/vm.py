@@ -75,6 +75,30 @@ class GasMeter:
             ledger.by_scope[(scope, layer)] += amount
         return amount
 
+    def charge_hashes(self, words: int, count: int) -> int:
+        """Charge ``count`` hash computations of ``words`` words each (a
+        Merkle path walk) in one call.
+
+        Exactly ``count`` calls of ``charge(hash_cost(words), "hash")``,
+        limits included: when a meter on the parent chain cannot cover them
+        all, the hashes that fit are charged and the first one that does not
+        raises the same :class:`OutOfGasError` the per-hash loop would raise.
+        """
+        if count <= 0:
+            return 0
+        amount = self.schedule.hash_cost(words)
+        fit = count
+        meter = self if amount > 0 else None
+        while meter is not None:
+            if meter.limit is not None:
+                fit = min(fit, (meter.limit - meter.used) // amount)
+            meter = meter.parent
+        if fit > 0:
+            self.charge(amount * fit, "hash")
+        if fit < count:
+            self.charge(amount, "hash")
+        return amount * count
+
     def _propagate(self, amount: int) -> None:
         """Fold a charge into every ancestor meter (enforcing their limits)."""
         meter = self.parent

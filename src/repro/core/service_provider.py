@@ -23,7 +23,7 @@ can show the on-chain verification rejects each of them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.ads.authenticated_kv import AuthenticatedKVStore
@@ -222,7 +222,9 @@ class TamperingServiceProvider(ServiceProvider):
     * ``"forge"`` — deliver a different value under the correct key,
     * ``"replay"`` — deliver a stale value captured before the latest update,
     * ``"omit"`` — silently drop a fraction of requested records,
-    * ``"fork"`` — generate proofs against a private fork of the store.
+    * ``"fork"`` — generate proofs against a private fork of the store,
+    * ``"relabel"`` — deliver the honest record with its proof moved to the
+      neighbouring leaf position (``leaf_index ^ 1``).
 
     The only stochastic choice (which requests an ``omit`` attack drops) is
     driven by ``seed`` — or an explicitly injected ``rng`` — so adversarial
@@ -292,6 +294,13 @@ class TamperingServiceProvider(ServiceProvider):
                         proof=result.proof,
                         state_prefix=result.record.state.prefix,
                         callback=item.callback,
+                    )
+                )
+            elif self.attack == "relabel":
+                corrupted.append(
+                    replace(
+                        item,
+                        proof=replace(item.proof, leaf_index=item.proof.leaf_index ^ 1),
                     )
                 )
             else:

@@ -303,17 +303,11 @@ class StorageManagerContract(Contract):
         obs = getattr(self.chain, "obs", None)
         verify_started = obs.tracer.clock() if obs is not None else 0.0
         verified = 0
+        charge_hashes = ctx.meter.charge_hashes
         for item in items:
             self.require(item.proof is not None, f"missing proof for {item.key!r}")
             leaf = self._leaf_hash(ctx, item)
-            ok = verify_membership(
-                root,
-                leaf,
-                item.proof,
-                charge_hash=lambda words: ctx.meter.charge(
-                    ctx.meter.schedule.hash_cost(words), "hash"
-                ),
-            )
+            ok = verify_membership(root, leaf, item.proof, charge_hash=charge_hashes)
             self.require(ok, f"integrity check failed for delivered key {item.key!r}")
             if item.replicate:
                 self._store_replica(ctx, item.key, item.value)

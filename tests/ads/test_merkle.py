@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,8 @@ from repro.ads.merkle import (
     verify_non_membership,
     verify_range,
 )
+from repro.chain.gas import GasLedger, GasSchedule
+from repro.chain.vm import GasMeter
 from repro.common.hashing import EMPTY_DIGEST, keccak
 
 
@@ -73,11 +77,35 @@ class TestMembershipProofs:
         with pytest.raises(IndexError):
             tree.prove(4)
 
-    def test_charge_hash_called_per_level(self):
+    def test_path_hash_gas_is_one_charge_of_depth_pair_hashes(self):
         tree = MerkleTree(leaves_for(16))
-        charges = []
-        verify_membership(tree.root, tree.leaf(0), tree.prove(0), charge_hash=charges.append)
-        assert len(charges) == tree.depth
+        meter = GasMeter(schedule=GasSchedule(), ledger=GasLedger())
+        calls = []
+
+        def charge_hash(words, count):
+            calls.append((words, count))
+            meter.charge_hashes(words, count)
+
+        assert verify_membership(tree.root, tree.leaf(5), tree.prove(5), charge_hash)
+        assert calls == [(2, tree.depth)]
+        assert meter.used == tree.depth * GasSchedule().hash_cost(2) == 4 * 42
+        assert meter.ledger.by_category == {"hash": 4 * 42}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.data())
+    def test_relabelled_proof_fails(self, count, data):
+        """A proof verifies only at the index it was issued for: flipping any
+        of the low ``depth`` bits of ``leaf_index`` reorders a hash, and any
+        higher bit names no leaf of the tree."""
+        tree = MerkleTree(leaves_for(count))
+        index = data.draw(st.integers(min_value=0, max_value=count - 1))
+        proof = tree.prove(index)
+        assert verify_membership(tree.root, tree.leaf(index), proof)
+        for bit in range(tree.depth + 2):
+            relabelled = replace(proof, leaf_index=index ^ (1 << bit))
+            assert not verify_membership(tree.root, tree.leaf(index), relabelled), bit
+        negative = replace(proof, leaf_index=-1 - index)
+        assert not verify_membership(tree.root, tree.leaf(index), negative)
 
     def test_recompute_root_matches(self):
         tree = MerkleTree(leaves_for(10))

@@ -123,7 +123,7 @@ class TestMerkleMemoizationEquivalence:
                 for _ in range(2):
                     index = rng.randrange(len(leaves))
                     proof = tree.prove(index)
-                    assert [node.digest for node in proof.path] == (
+                    assert list(proof.path) == (
                         reference_proof_digests(leaves, index)
                     ), (seed, step, index)
 
@@ -136,12 +136,8 @@ class TestMerkleMemoizationEquivalence:
         for index in set(indices):
             single = tree.prove(index)
             assert batch[index].leaf_index == single.leaf_index
-            assert [node.digest for node in batch[index].path] == [
-                node.digest for node in single.path
-            ]
-            assert [node.is_left for node in batch[index].path] == [
-                node.is_left for node in single.path
-            ]
+            assert batch[index].path == single.path
+            assert list(single.path) == reference_proof_digests(leaves, index)
 
 
 class TestLeafSerializationCache:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.chain.gas import GasLedger, GasSchedule, LAYER_APPLICATION, LAYER_FEED
 from repro.chain.state import ContractStorage
@@ -104,6 +104,88 @@ class TestGasMeter:
         app_child = context.child("callee", layer=LAYER_APPLICATION)
         assert app_child.meter is not context.meter
         assert app_child.meter.layer == LAYER_APPLICATION
+
+
+#: One meter of a parent chain: (limit or None, gas already used, scope).
+_meter_specs = st.tuples(
+    st.one_of(st.none(), st.integers(min_value=0, max_value=1_200)),
+    st.integers(min_value=0, max_value=400),
+    st.sampled_from([None, "feed-a", "feed-b"]),
+)
+
+
+def _meter_chain(specs):
+    """A fresh ledger and meter chain, innermost meter last; a limit below
+    the meter's used gas is raised to it (a meter never starts overdrawn)."""
+    schedule = GasSchedule()
+    ledger = GasLedger()
+    meter = None
+    chain = []
+    for limit, used, scope in specs:
+        if limit is not None:
+            limit = max(limit, used)
+        meter = GasMeter(
+            schedule=schedule, ledger=ledger, limit=limit, used=used,
+            scope=scope, parent=meter,
+        )
+        chain.append(meter)
+    return ledger, chain
+
+
+def _outcome(action, ledger, chain):
+    error = None
+    try:
+        action(chain[-1])
+    except OutOfGasError as exc:
+        error = (exc.requested, exc.remaining)
+    return (
+        error,
+        [meter.used for meter in chain],
+        ledger.total,
+        dict(ledger.by_category),
+        dict(ledger.by_layer),
+        dict(ledger.by_scope),
+    )
+
+
+class TestFusedHashCharge:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_meter_specs, min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=24),
+    )
+    def test_matches_per_node_loop_under_any_limit(self, specs, count):
+        """``charge_hashes(2, n)`` leaves every meter, every ledger counter
+        and the raised error exactly as ``n`` single hash charges do, also
+        when a meter anywhere on the parent chain runs out mid-path."""
+
+        def per_node(meter):
+            for _ in range(count):
+                meter.charge(meter.schedule.hash_cost(2), "hash")
+
+        expected = _outcome(per_node, *_meter_chain(specs))
+        fused = _outcome(lambda meter: meter.charge_hashes(2, count), *_meter_chain(specs))
+        assert fused == expected
+
+    def test_runs_out_mid_path_at_the_parent(self, schedule, ledger):
+        parent = GasMeter(schedule=schedule, ledger=ledger, limit=100)
+        child = GasMeter(schedule=schedule, ledger=ledger, parent=parent, scope="f")
+        with pytest.raises(OutOfGasError) as raised:
+            child.charge_hashes(2, 5)
+        # Two 42-gas hashes fit under 100; the third finds 16 remaining.
+        assert (raised.value.requested, raised.value.remaining) == (42, 16)
+        assert parent.used == child.used == 84
+        assert ledger.by_category["hash"] == 84
+
+    def test_zero_count_touches_nothing(self, meter, ledger):
+        assert meter.charge_hashes(2, 0) == 0
+        assert ledger.total == 0 and not ledger.by_category
+
+    def test_free_hashes_pass_a_spent_meter(self, ledger):
+        schedule = GasSchedule(hash_base=0, hash_per_word=0)
+        meter = GasMeter(schedule=schedule, ledger=ledger, limit=10, used=10)
+        assert meter.charge_hashes(2, 3) == 0
+        assert ledger.by_category == {"hash": 0}
 
 
 class TestContractStorage:

@@ -175,7 +175,7 @@ class TestReadPathAndWatchdog:
 
 
 class TestSecurityAgainstTamperingSP:
-    @pytest.mark.parametrize("attack", ["forge", "replay", "fork"])
+    @pytest.mark.parametrize("attack", ["forge", "replay", "fork", "relabel"])
     def test_tampered_deliveries_are_rejected_on_chain(self, attack):
         config = GrubConfig(epoch_size=4)
         preload = [KVRecord.make("alpha", b"A" * 32), KVRecord.make("bravo", b"B" * 32)]

@@ -12,19 +12,24 @@ worker processes and whose results are spliced back in shard order.
 
 from __future__ import annotations
 
+import gc
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.ads.merkle import MerkleProof
 from repro.chain.chain import ChainParameters
 from repro.chain.gas import LAYER_APPLICATION, LAYER_FEED
 from repro.common.errors import ConfigurationError
 from repro.common.types import KVRecord, Operation
 from repro.core.config import GrubConfig
 from repro.core.data_consumer import DataConsumerContract
+from repro.core.storage_manager import DeliverItem, UpdateEntry
 from repro.gateway import EpochScheduler, FeedRegistry, FeedSpec, GasAwareShardPlanner
 from repro.gateway import executor
 from repro.gateway.executor import ProcessEngine
+from repro.gateway.router import DeliverGroup, UpdateGroup
 from repro.gateway.scheduler import RequestSource
 from repro.obs import Observability
 from repro.workloads.synthetic import SyntheticWorkload
@@ -229,6 +234,62 @@ class TestExecutionModeEquivalence:
             for layer in (LAYER_FEED, LAYER_APPLICATION):
                 expected = serial_registry.chain.ledger.scope_total(feed_id, layer)
                 assert process_registry.chain.ledger.scope_total(feed_id, layer) == expected
+
+    def test_settlement_receipts_identical_and_header_only(self):
+        """Every mode records the same settlement receipts, and each keeps
+        only its transaction's header: the decoded payloads are released at
+        block inclusion."""
+
+        def receipts(registry):
+            return [
+                (
+                    receipt.transaction.function,
+                    receipt.transaction.scopes,
+                    receipt.transaction.calldata_bytes,
+                    receipt.gas_used,
+                    receipt.success,
+                    [
+                        (e.contract, e.name, e.block_number, sorted(e.payload.items(), key=repr))
+                        for e in receipt.events
+                    ],
+                )
+                for block in registry.chain.blocks
+                for receipt in block.receipts
+            ]
+
+        _, serial_registry = run_fleet(1, execution_mode="serial")
+        _, thread_registry = run_fleet(4, execution_mode="thread")
+        _, process_registry = run_fleet(2, execution_mode="process")
+        serial_receipts = receipts(serial_registry)
+        # Preload publications ("update") plus both batched settlements.
+        assert {entry[0] for entry in serial_receipts} == {
+            "update", "deliver_batch", "update_batch",
+        }
+        assert receipts(thread_registry) == serial_receipts
+        assert receipts(process_registry) == serial_receipts
+        for registry in (serial_registry, thread_registry, process_registry):
+            assert all(
+                receipt.transaction.args == {}
+                for block in registry.chain.blocks
+                for receipt in block.receipts
+            )
+
+    def test_chain_history_retains_no_settlement_payloads(self):
+        _, registry = run_fleet(1, execution_mode="serial")
+        payload_types = (DeliverItem, UpdateEntry, DeliverGroup, UpdateGroup, MerkleProof)
+        skipped = (type, types.ModuleType, types.FunctionType, types.MethodType)
+        seen = {id(registry.chain.blocks)}
+        frontier = [registry.chain.blocks]
+        reached = 0
+        while frontier:
+            obj = frontier.pop()
+            reached += 1
+            assert not isinstance(obj, payload_types), type(obj).__name__
+            for child in gc.get_referents(obj):
+                if id(child) not in seen and not isinstance(child, skipped):
+                    seen.add(id(child))
+                    frontier.append(child)
+        assert reached > len(registry.chain.blocks)
 
     def test_block_gas_overflow_accounting_identical_across_modes(self):
         """Overflow is derived from a block's gas on whichever chain mines
